@@ -4,7 +4,8 @@ Everything a resumed process needs is written at iteration boundaries,
 atomically (write to a temp file, then rename). Tables are tab-separated
 text; documents are JSON. Floats are serialized with shortest round-trip
 precision, so a reloaded run is bit-identical to the run that wrote it.
-Wall-clock timings never enter these files; they go to ``run.log`` only.
+Wall-clock timings never enter these files; ``run.log`` gets only failure
+notes and the early-stop line.
 """
 from __future__ import annotations
 

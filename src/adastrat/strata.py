@@ -14,7 +14,16 @@ import numpy as np
 from .errors import BoundsError, DegenerateModelError
 from .surrogate import SurrogateModel
 
-_POOL_BATCH = 1 << 20
+# Rows per pool batch (3 MiB at d = 6). At d = 6 this keeps the batch matmul
+# under OpenBLAS's threading threshold (between 420 000 and 480 000 elements
+# with numpy 2.4's OpenBLAS 0.3.31): above it, a BLAS worker spins on another
+# core for about 0.1 s after each call, which on a 2-core host takes the core
+# from the helper thread, and from the evaluations that follow the pool.
+_POOL_BATCH = 1 << 16
+# Pools of at most this many batches are drawn and binned on the caller's
+# thread: below about 2**20 rows, waking a helper thread costs more than it
+# overlaps. Larger pools draw the next batch on a helper thread.
+_SERIAL_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -131,21 +140,41 @@ def estimate_weights(
 ) -> StratumWeights:
     """Estimate stratum weights from a streamed pool of cheap surrogate draws.
 
-    The pool is generated, binned and discarded in fixed-size batches, so
-    memory stays proportional to the number of strata rather than the pool
-    size. Counts are exact integers; the result is deterministic for a given
-    generator state.
+    The pool is drawn into at most two batch buffers that are allocated once
+    and overwritten, so memory stays at two batches (6 MiB at d = 6) whatever
+    the pool size. In pools of more than ``_SERIAL_BATCHES`` batches one helper
+    thread draws the next batch while the caller's thread bins the current
+    one. Only one thread draws from ``rng``, batch after batch, so the counts
+    are exact integers, identical to a serial loop for a given generator
+    state, and ``rng`` ends as it would after ``rng.random((pool_size, d))``.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    d = model.space.dim
     counts = np.zeros(strata.n_strata, dtype=np.int64)
-    remaining = pool_size
-    while remaining > 0:
-        m = min(_POOL_BATCH, remaining)
-        us = rng.random((m, d))
-        idx = strata.bin_many(model.predict_normalized(us))
-        counts += np.bincount(idx, minlength=strata.n_strata)
-        remaining -= m
+    n_batches = -(-pool_size // _POOL_BATCH)
+    rows = min(_POOL_BATCH, pool_size)
+    serial = n_batches <= _SERIAL_BATCHES
+    buffers = [np.empty((rows, model.space.dim)) for _ in range(1 if serial else 2)]
+
+    def draw(k: int) -> np.ndarray:
+        m = min(_POOL_BATCH, pool_size - k * _POOL_BATCH)
+        return rng.random(out=buffers[k % len(buffers)][:m])
+
+    def binned(us: np.ndarray) -> np.ndarray:
+        return np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+
+    if serial:
+        for k in range(n_batches):
+            counts += binned(draw(k))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(draw, 0)
+            for k in range(n_batches):
+                us = pending.result()
+                if k + 1 < n_batches:
+                    pending = helper.submit(draw, k + 1)
+                counts += binned(us)
     p1 = counts / pool_size
     return StratumWeights(p1=p1, pool_size=pool_size, variance=p1 * (1.0 - p1) / pool_size)

@@ -1,7 +1,13 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adastrat import strata as strata_module
 from adastrat.errors import BoundsError, DegenerateModelError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
@@ -10,6 +16,14 @@ from adastrat.surrogate import SurrogateModel
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
 IDENTITY = SurrogateModel(space=UNIT, intercept=0.0, coefficients=np.array([1.0]), sigma=0.05, training_count=10)
+CUBE6 = ParameterSpace(tuple(ParameterDef(f"x{i}", 0.0, 1.0) for i in range(6)))
+AFFINE6 = SurrogateModel(
+    space=CUBE6,
+    intercept=0.1,
+    coefficients=np.array([0.3, 0.2, 0.1, 0.15, 0.05, 0.12]),
+    sigma=0.01,
+    training_count=100,
+)
 
 
 def test_reference_layout_102_strata():
@@ -122,3 +136,54 @@ def test_weight_variance_formula_matches_empirical():
     inner = slice(1, -1)
     ratio = empirical[inner] / formula[inner]
     assert (ratio > 1 / 1.5).all() and (ratio < 1.5).all()
+
+
+def _serial_pool_counts(strata, model, pool_size, rng, batch=1 << 20):
+    """Reference pool: draw a batch, bin it, count it, on one thread."""
+    counts = np.zeros(strata.n_strata, dtype=np.int64)
+    for start in range(0, pool_size, batch):
+        us = rng.random((min(batch, pool_size - start), model.space.dim))
+        counts += np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+    return counts
+
+
+@pytest.mark.parametrize("serial_batches", [None, 0], ids=["cutoff", "helper-always"])
+@pytest.mark.parametrize(
+    "pool_size", [1, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000, 3 * (1 << 16) + 17, 2_000_000]
+)
+def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
+    if serial_batches is not None:
+        monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", serial_batches)
+    s = build_strata(0.6, 0.01, 100)
+    rng = substream(5, "pool", 0)
+    reference_rng = substream(5, "pool", 0)
+    w = estimate_weights(s, AFFINE6, pool_size, rng)
+    expected = _serial_pool_counts(s, AFFINE6, pool_size, reference_rng)
+    np.testing.assert_array_equal(w.p1, expected / pool_size)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
+    monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
+    s = build_strata(0.6, 0.01, 100)
+    pool_size = 5 * (1 << 16) + 3
+    expected = [_serial_pool_counts(s, AFFINE6, pool_size, substream(k, "pool", 0)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as callers:
+            futures = [callers.submit(estimate_weights, s, AFFINE6, pool_size, substream(k, "pool", 0)) for k in range(3)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for w, counts in zip(results, expected):
+        np.testing.assert_array_equal(w.p1, counts / pool_size)
+
+
+def test_pool_binning_error_reaches_caller_and_joins_helper():
+    nan_model = replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12]))
+    pool_size = (strata_module._SERIAL_BATCHES + 3) * strata_module._POOL_BATCH
+    before = threading.active_count()
+    with pytest.raises(BoundsError):
+        estimate_weights(build_strata(0.6, 0.01, 100), nan_model, pool_size, substream(6, "pool", 0))
+    assert threading.active_count() == before
