@@ -10,14 +10,6 @@ the estimate, its variance, and the cost of matching it with naive Monte
 Carlo come out the other end.
 """
 
-from .allocation import (
-    AllocationPlan,
-    allocate,
-    optimal_weights,
-    plan_allocation,
-    select_candidates,
-    subtract_existing,
-)
 from .campaign import (
     RunState,
     final_report,
@@ -26,16 +18,7 @@ from .campaign import (
     run_iteration,
     run_preliminary,
 )
-from .conditional import (
-    ConditionalTable,
-    build_conditional_table,
-    laplace_exceedance,
-    mix_p2,
-    observe_p2,
-    p2_variance,
-    predict_p2,
-)
-from .config import RunConfig, build_evaluator, config_from_dict, load_config
+from .config import RunConfig, load_config
 from .errors import (
     AdastratError,
     AllocationError,
@@ -43,45 +26,12 @@ from .errors import (
     ConfigError,
     ContractError,
     DegenerateModelError,
-    EvaluationError,
     EvaluationThresholdError,
     FitError,
     UnfillableStratumError,
 )
-from .estimator import (
-    RareEventEstimate,
-    biased_variance,
-    build_estimate,
-    confidence_interval,
-    estimate,
-    naive_mc_equivalent,
-    unbiased_variance,
-)
-from .evaluators import (
-    BatchOutcome,
-    EvaluationRequest,
-    EvaluationResult,
-    ExternalEvaluator,
-    SyntheticObjective,
-    evaluate_batch,
-    oracle_probability,
-)
-from .rng import substream
-from .space import (
-    DEFAULT_SPACE,
-    ParameterDef,
-    ParameterSpace,
-    SampleRecord,
-    sample_product,
-    sample_uniform,
-)
-from .strata import (
-    StratumSet,
-    StratumWeights,
-    build_strata,
-    degenerate_split,
-    estimate_weights,
-)
-from .surrogate import SurrogateModel, fit, training_residuals
+from .estimator import RareEventEstimate
+from .evaluators import ExternalEvaluator, SyntheticObjective, oracle_probability
+from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace
 
 __version__ = "0.1.0"

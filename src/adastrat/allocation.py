@@ -209,9 +209,9 @@ def select_candidates(
     ``per_stratum_cap * additional[i]`` total draws raises
     UnfillableStratumError.
 
-    Candidates are binned from their natural-unit representation (normalized,
-    predicted, binned), so re-binning a persisted candidate always reproduces
-    its claimed stratum.
+    Candidates are binned from their natural-unit representation through
+    ``model.predict_many``, the path that re-bins every campaign sample, so
+    re-binning a persisted candidate always reproduces its claimed stratum.
     """
     additional = np.asarray(additional, dtype=np.int64)
     need = additional.copy()
@@ -222,7 +222,7 @@ def select_candidates(
     while need.any():
         us = rng.random((_SEARCH_BATCH, space.dim))
         ws = space.denormalize_many(us)
-        idx = strata.bin_many(model.predict_normalized(space.normalize_many(ws)))
+        idx = strata.bin_many(model.predict_many(ws))
         drawn += _SEARCH_BATCH
         hits += np.bincount(idx, minlength=strata.n_strata)
         for i in np.flatnonzero(need > 0):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import persist
 from .allocation import AllocationPlan, plan_allocation, select_candidates
-from .conditional import ConditionalTable, build_conditional_table
+from .conditional import ConditionalTable, build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, config_from_dict
 from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate
@@ -48,24 +48,16 @@ class RunState:
     iteration: int = 0
     next_id: int = 0
     estimates: list[RareEventEstimate] = field(default_factory=list)
-    conditionals: list[Optional[ConditionalTable]] = field(default_factory=list)
-    allocations: list[Optional[AllocationPlan]] = field(default_factory=list)
 
     def total_evaluations(self) -> int:
         return len(evaluated(self.samples))
 
-    def stratum_counts(self) -> np.ndarray:
-        counts = np.zeros(self.strata.n_strata, dtype=np.int64)
-        for s in evaluated(self.samples):
-            counts[s.stratum] += 1
-        return counts
-
 
 def _rebin_samples(state: RunState) -> None:
     """Refresh every record's surrogate value and stratum under the current model."""
-    for s in state.samples:
-        s.j_tilde = state.model.predict(s.params)
-        s.stratum = state.strata.bin(s.j_tilde)
+    j_tilde = state.model.predict_many(np.vstack([s.params for s in state.samples]))
+    for s, value, i in zip(state.samples, j_tilde, state.strata.bin_many(j_tilde)):
+        s.j_tilde, s.stratum = float(value), int(i)
 
 
 def _fit_and_stratify(state: RunState) -> None:
@@ -208,7 +200,7 @@ def run_iteration(state: RunState, budget: int) -> RunState:
             state.weights.p1,
             state.weights.hits(),
             p2_for_allocation,
-            state.stratum_counts(),
+            table.counts,
             budget,
             min_pool_hits=cfg.min_pool_hits,
             prune_share=cfg.allocation_prune_share,
@@ -226,19 +218,11 @@ def run_iteration(state: RunState, budget: int) -> RunState:
             _fit_and_stratify(state)
             refit_happened = True
         else:
-            for rec in new_records:
-                rec.j_tilde = state.model.predict(rec.params)
-                rec.stratum = state.strata.bin(rec.j_tilde)
+            _rebin_samples(state)
     state.iteration = k
-    counts = np.zeros(state.strata.n_strata, dtype=np.int64)
-    exceed = np.zeros(state.strata.n_strata, dtype=np.int64)
-    for s in evaluated(state.samples):
-        counts[s.stratum] += 1
-        exceed[s.stratum] += 1 if s.j_true > cfg.critical_value else 0
+    counts, exceed, _ = observe_p2(state.strata, evaluated(state.samples), cfg.critical_value)
     est = build_estimate(state.weights, state.strata, counts, exceed)
     state.estimates.append(est)
-    state.conditionals.append(table)
-    state.allocations.append(plan)
     _persist_iteration(state, k, new_records, table, plan, est, write_model=refit_happened)
     return state
 

@@ -29,7 +29,7 @@ from .campaign import (
 from .config import build_evaluator, load_config, with_overrides
 from .errors import AllocationError, ConfigError, EvaluationThresholdError
 from .estimator import confidence_interval
-from .evaluators import EvaluationRequest, SyntheticObjective, evaluate_batch, oracle_probability
+from .evaluators import EvaluationRequest, evaluate_batch, oracle_probability
 from .rng import substream
 from .space import sample_uniform
 
@@ -168,11 +168,10 @@ def _cmd_oracle(args) -> int:
     config = _load(args)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    evaluator = build_evaluator(config)
-    if not isinstance(evaluator, SyntheticObjective):
+    if config.evaluator.get("type") != "synthetic":
         raise ConfigError("the oracle needs a synthetic evaluator (external ones are too expensive)")
     p, se = oracle_probability(
-        evaluator, config.critical_value, args.n, substream(config.seed, "oracle")
+        build_evaluator(config), config.critical_value, args.n, substream(config.seed, "oracle")
     )
     print(
         json.dumps(

@@ -21,8 +21,8 @@ from .strata import StratumSet
 _SQRT2 = math.sqrt(2.0)
 
 
-def laplace_exceedance(a: float, critical_value: float, sigma: float) -> float:
-    """P(true objective > critical) for a point whose surrogate value is ``a``.
+def laplace_exceedance(a: np.ndarray, critical_value: float, sigma: float) -> np.ndarray:
+    """P(true objective > critical) for points whose surrogate values are ``a``.
 
     Closed-form Laplace tail: 0.5*exp((a-c)/b) below the critical value,
     1 - 0.5*exp((c-a)/b) above it, with b = sigma/sqrt(2); exactly 0.5 at the
@@ -30,12 +30,12 @@ def laplace_exceedance(a: float, critical_value: float, sigma: float) -> float:
     """
     if sigma <= 0.0:
         raise DegenerateModelError(f"sigma must be positive, got {sigma!r}")
+    a = np.asarray(a, dtype=float)
     b = sigma / _SQRT2
-    if a < critical_value:
-        return 0.5 * math.exp((a - critical_value) / b)
-    if a > critical_value:
-        return 1.0 - 0.5 * math.exp((critical_value - a) / b)
-    return 0.5
+    c = critical_value
+    below = 0.5 * np.exp(np.minimum(a - c, 0.0) / b)
+    above = 1.0 - 0.5 * np.exp(np.minimum(c - a, 0.0) / b)
+    return np.where(a < c, below, np.where(a > c, above, 0.5))
 
 
 def predict_p2(strata: StratumSet) -> np.ndarray:
@@ -43,18 +43,13 @@ def predict_p2(strata: StratumSet) -> np.ndarray:
 
     Inner strata use their midpoint; the tails are pinned to hard 0 and 1
     (the formula is only meaningful for finite strata, and by construction
-    the tails sit many sigma away from the critical value).
+    the tails sit many sigma away from the critical value). The two-stratum
+    split of a perfect fit is therefore the hard 0/1 split.
     """
-    n = strata.n_strata
-    out = np.empty(n)
+    out = np.empty(strata.n_strata)
     out[0], out[-1] = 0.0, 1.0
-    if n > 2:
-        mids = strata.midpoints()[1:-1]
-        b = strata.sigma / _SQRT2
-        c = strata.critical_value
-        below = 0.5 * np.exp(np.minimum(mids - c, 0.0) / b)
-        above = 1.0 - 0.5 * np.exp(np.minimum(c - mids, 0.0) / b)
-        out[1:-1] = np.where(mids < c, below, np.where(mids > c, above, 0.5))
+    if strata.n_strata > 2:
+        out[1:-1] = laplace_exceedance(strata.midpoints()[1:-1], strata.critical_value, strata.sigma)
     return out
 
 
@@ -68,17 +63,16 @@ def observe_p2(
     Returns (counts, exceed_counts, p2_obs); strata without samples carry NaN
     in ``p2_obs``. Exceedance is strict (j_true > critical_value).
     """
+    j_true = np.array([s.j_true for s in samples], dtype=float)
+    j_tilde = np.array([s.j_tilde for s in samples], dtype=float)
+    for values, what in ((j_true, "objective"), (j_tilde, "surrogate")):
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise ContractError(f"sample {samples[missing[0]].id} has no {what} value")
+    idx = strata.bin_many(j_tilde)
     n = strata.n_strata
-    counts = np.zeros(n, dtype=np.int64)
-    exceed = np.zeros(n, dtype=np.int64)
-    for s in samples:
-        if s.j_true is None:
-            raise ContractError(f"sample {s.id} has no objective value")
-        if s.j_tilde is None:
-            raise ContractError(f"sample {s.id} has no surrogate value")
-        i = strata.bin(s.j_tilde)
-        counts[i] += 1
-        exceed[i] += 1 if s.j_true > critical_value else 0
+    counts = np.bincount(idx, minlength=n)
+    exceed = np.bincount(idx[j_true > critical_value], minlength=n)
     p2 = np.full(n, np.nan)
     seen = counts > 0
     p2[seen] = exceed[seen] / counts[seen]
@@ -140,11 +134,7 @@ def build_conditional_table(
     critical_value: float,
     n_confident: int,
 ) -> ConditionalTable:
-    if strata.inner_count == 0:
-        # degenerate two-stratum layout: prediction is the hard 0/1 split
-        pred = np.array([0.0, 1.0])
-    else:
-        pred = predict_p2(strata)
+    pred = predict_p2(strata)
     counts, exceed, obs = observe_p2(strata, samples, critical_value)
     mix = mix_p2(obs, pred, counts, n_confident)
     return ConditionalTable(

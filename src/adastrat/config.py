@@ -73,6 +73,10 @@ class RunConfig:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         if not (0.0 <= self.failure_abort_fraction <= 1.0):
             raise ConfigError("failure_abort_fraction must lie in [0, 1]")
+        if not (0.0 <= self.allocation_prune_share < 1.0):
+            raise ConfigError(f"allocation_prune_share must lie in [0, 1), got {self.allocation_prune_share!r}")
+        if not self.evaluation_timeout > 0:
+            raise ConfigError(f"evaluation_timeout must be positive, got {self.evaluation_timeout!r}")
         design = self.preliminary_design.get("type")
         if design not in ("random", "product"):
             raise ConfigError(f"preliminary_design type must be 'random' or 'product', got {design!r}")

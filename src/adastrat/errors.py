@@ -40,10 +40,6 @@ class UnfillableStratumError(AllocationError):
         )
 
 
-class EvaluationError(AdastratError):
-    """A single evaluation request failed (nonzero exit, malformed reply, timeout)."""
-
-
 class EvaluationThresholdError(AdastratError):
     """Too many evaluations failed to continue the campaign (CLI exit code 3)."""
 

@@ -122,8 +122,21 @@ class SyntheticObjective:
             j = j + self.noise_scale * _coordinate_noise(self.seed, ws)
         return j
 
-    def evaluate(self, w: np.ndarray) -> float:
-        return float(self.evaluate_many(np.asarray(w, dtype=float).reshape(1, -1))[0])
+    def run_batch(
+        self,
+        requests: Sequence[EvaluationRequest],
+        parallelism: int,
+        run_dir: Optional[str],
+    ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
+        """One vectorised call for all requests; a closed form needs no workers and never fails."""
+        started = time.monotonic()
+        values = self.evaluate_many(np.vstack([r.params for r in requests]))
+        elapsed = (time.monotonic() - started) / len(requests)
+        results = [
+            EvaluationResult(id=r.id, objective=float(v), wall_time=elapsed)
+            for r, v in zip(requests, values)
+        ]
+        return results, []
 
 
 def oracle_probability(
@@ -159,6 +172,8 @@ class ExternalEvaluator:
     ):
         if not command:
             raise ConfigError("external evaluator needs a non-empty command")
+        if not timeout > 0:
+            raise ConfigError(f"evaluator timeout must be positive, got {timeout!r}")
         self.command = list(command)
         self.timeout = float(timeout)
         self.space = space
@@ -194,6 +209,25 @@ class ExternalEvaluator:
                 if rest:
                     raise IOError("evaluator sent more than one reply line at once")
                 return line
+
+    def run_batch(
+        self,
+        requests: Sequence[EvaluationRequest],
+        parallelism: int,
+        run_dir: Optional[str],
+    ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
+        """Deal the requests round-robin onto ``parallelism`` workers, one child each."""
+        chunks = [list(requests[k::parallelism]) for k in range(parallelism)]
+        if parallelism == 1:
+            out = [self.run_chunk(chunks[0], run_dir)]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                out = list(pool.map(lambda c: self.run_chunk(c, run_dir), chunks))
+        results = [r for res, _ in out for r in res]
+        failures = [f for _, fail in out for f in fail]
+        return results, failures
 
     def run_chunk(
         self,
@@ -255,8 +289,9 @@ def evaluate_batch(
     parallelism: int = 1,
     run_dir: Optional[str] = None,
 ) -> BatchOutcome:
-    """Evaluate a batch of requests, fanning external work across workers.
+    """Evaluate a batch of requests through the evaluator's ``run_batch``.
 
+    Every request must come back as exactly one result or one failure.
     Results carry their request ids and come back sorted by id, so the
     outcome is independent of worker count and scheduling for any
     deterministic evaluator.
@@ -265,36 +300,11 @@ def evaluate_batch(
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if not requests:
         return BatchOutcome(results=[], failures=[])
-    if isinstance(evaluator, SyntheticObjective):
-        ws = np.vstack([r.params for r in requests])
-        started = time.monotonic()
-        values = evaluator.evaluate_many(ws)
-        elapsed = (time.monotonic() - started) / len(requests)
-        results = [
-            EvaluationResult(id=r.id, objective=float(v), wall_time=elapsed)
-            for r, v in zip(requests, values)
-        ]
-        return BatchOutcome(results=sorted(results, key=lambda r: r.id), failures=[])
-    if isinstance(evaluator, ExternalEvaluator):
-        chunks: list[list[EvaluationRequest]] = [[] for _ in range(parallelism)]
-        for k, req in enumerate(requests):
-            chunks[k % parallelism].append(req)
-        results, failures = [], []
-        if parallelism == 1:
-            out = [evaluator.run_chunk(chunks[0], run_dir)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                out = list(pool.map(lambda c: evaluator.run_chunk(c, run_dir), chunks))
-        for res, fail in out:
-            results.extend(res)
-            failures.extend(fail)
-        seen = [r.id for r in results] + [f.id for f in failures]
-        if sorted(seen) != sorted(r.id for r in requests):
-            raise ConfigError("evaluator protocol violation: request and reply ids do not match up")
-        return BatchOutcome(
-            results=sorted(results, key=lambda r: r.id),
-            failures=sorted(failures, key=lambda f: f.id),
-        )
-    raise ConfigError(f"unsupported evaluator type {type(evaluator).__name__}")
+    results, failures = evaluator.run_batch(requests, parallelism, run_dir)
+    seen = [r.id for r in results] + [f.id for f in failures]
+    if sorted(seen) != sorted(r.id for r in requests):
+        raise ConfigError("evaluator protocol violation: request and reply ids do not match up")
+    return BatchOutcome(
+        results=sorted(results, key=lambda r: r.id),
+        failures=sorted(failures, key=lambda f: f.id),
+    )

@@ -58,17 +58,6 @@ class ParameterSpace:
     def spans(self) -> np.ndarray:
         return np.array([d.max - d.min for d in self.dims], dtype=float)
 
-    def validate_point(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise BoundsError(f"expected {self.dim} coordinates, got shape {w.shape}")
-        for j, d in enumerate(self.dims):
-            if not (d.min <= w[j] <= d.max) or not np.isfinite(w[j]):
-                raise BoundsError(
-                    f"parameter {d.name!r}: value {w[j]!r} outside [{d.min}, {d.max}]"
-                )
-        return w
-
     def validate_many(self, ws: np.ndarray) -> np.ndarray:
         ws = np.atleast_2d(np.asarray(ws, dtype=float))
         if ws.shape[1] != self.dim:
@@ -84,18 +73,10 @@ class ParameterSpace:
             )
         return ws
 
-    def normalize(self, w: np.ndarray) -> np.ndarray:
-        """Map natural units onto [0, 1] per coordinate."""
-        w = self.validate_point(w)
-        return (w - self.lows()) / self.spans()
-
     def normalize_many(self, ws: np.ndarray) -> np.ndarray:
+        """Map rows in natural units onto [0, 1] per coordinate."""
         ws = self.validate_many(ws)
         return (ws - self.lows()) / self.spans()
-
-    def denormalize(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.lows() + u * self.spans()
 
     def denormalize_many(self, us: np.ndarray) -> np.ndarray:
         return self.lows() + np.atleast_2d(np.asarray(us, dtype=float)) * self.spans()

@@ -39,13 +39,8 @@ class StratumSet:
     def n_strata(self) -> int:
         return self.edges.size + 1
 
-    def bin(self, j_tilde: float) -> int:
-        """Index of the unique stratum containing ``j_tilde``."""
-        if np.isnan(j_tilde):
-            raise BoundsError("cannot bin a NaN surrogate value")
-        return int(np.searchsorted(self.edges, j_tilde, side="right"))
-
     def bin_many(self, j_tildes: np.ndarray) -> np.ndarray:
+        """Index of the unique stratum containing each surrogate value."""
         j_tildes = np.asarray(j_tildes, dtype=float)
         if np.isnan(j_tildes).any():
             raise BoundsError("cannot bin NaN surrogate values")
@@ -57,15 +52,8 @@ class StratumSet:
     def upper(self, i: int) -> float:
         return np.inf if i == self.n_strata - 1 else float(self.edges[i])
 
-    def midpoint(self, i: int) -> float:
-        """Arithmetic center of a finite stratum; +-inf for the tails."""
-        if i == 0:
-            return -np.inf
-        if i == self.n_strata - 1:
-            return np.inf
-        return float(0.5 * (self.edges[i - 1] + self.edges[i]))
-
     def midpoints(self) -> np.ndarray:
+        """Arithmetic center of each finite stratum; +-inf for the tails."""
         out = np.empty(self.n_strata)
         out[0], out[-1] = -np.inf, np.inf
         if self.edges.size > 1:

@@ -34,48 +34,13 @@ class SurrogateModel:
     sigma: float
     training_count: int
 
-    def predict(self, w: np.ndarray) -> float:
-        """Surrogate value for one point in natural units."""
-        u = self.space.normalize(np.asarray(w, dtype=float))
-        return float(self.intercept + self.coefficients @ u)
-
     def predict_many(self, ws: np.ndarray) -> np.ndarray:
-        us = self.space.normalize_many(ws)
-        return self.intercept + us @ self.coefficients
+        """Surrogate values for rows in natural units."""
+        return self.predict_normalized(self.space.normalize_many(ws))
 
     def predict_normalized(self, us: np.ndarray) -> np.ndarray:
-        """Fast path for callers that already hold normalized coordinates."""
+        """Surrogate values for rows already in normalized coordinates."""
         return self.intercept + np.asarray(us, dtype=float) @ self.coefficients
-
-
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
-    """Solve the normal equations by Cholesky, flagging rank deficiency.
-
-    A pivot below ``_PIVOT_RTOL`` times the largest pivot marks the column as
-    linearly dependent on its predecessors and aborts the fit.
-    """
-    m = gram.shape[0]
-    chol = np.zeros_like(gram)
-    max_pivot = 0.0
-    for j in range(m):
-        pivot = gram[j, j] - chol[j, :j] @ chol[j, :j]
-        max_pivot = max(max_pivot, pivot)
-        if pivot <= _PIVOT_RTOL * max_pivot or pivot <= 0.0:
-            raise FitError(
-                f"design matrix is rank deficient at column {column_names[j]!r} "
-                f"(pivot {pivot:.3e} vs largest {max_pivot:.3e})"
-            )
-        chol[j, j] = np.sqrt(pivot)
-        if j + 1 < m:
-            chol[j + 1 :, j] = (gram[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
-    # forward then back substitution
-    y = np.zeros(m)
-    for i in range(m):
-        y[i] = (rhs[i] - chol[i, :i] @ y[:i]) / chol[i, i]
-    beta = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        beta[i] = (y[i] - chol[i + 1 :, i] @ beta[i + 1 :]) / chol[i, i]
-    return beta
 
 
 def fit(
@@ -108,7 +73,20 @@ def fit(
     n = len(samples)
     design = np.column_stack([np.ones(n), us])
     names = ["intercept"] + space.names
-    beta = _spd_solve(design.T @ design, design.T @ y, names)
+    q, r = np.linalg.qr(design)
+    # QR on the design, not Cholesky on design^T design, so the conditioning is
+    # not squared; R_jj^2 is the pivot that Cholesky would meet at column j, and
+    # a small one marks the column as dependent on its predecessors
+    pivots = np.diag(r) ** 2
+    largest = np.maximum.accumulate(pivots)
+    dependent = np.flatnonzero(pivots <= _PIVOT_RTOL * largest)
+    if dependent.size:
+        j = dependent[0]
+        raise FitError(
+            f"design matrix is rank deficient at column {names[j]!r} "
+            f"(pivot {pivots[j]:.3e} vs largest {largest[j]:.3e})"
+        )
+    beta = np.linalg.solve(r, q.T @ y)
     residuals = y - design @ beta
     if dof_corrected:
         dof = n - d - 1

@@ -15,6 +15,7 @@ from adastrat.campaign import (
 )
 from adastrat.config import RunConfig, config_from_dict
 from adastrat.errors import ConfigError, EvaluationThresholdError
+from adastrat.persist import read_table
 from adastrat.space import evaluated
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -70,14 +71,15 @@ def test_sigma_zero_fallback_two_strata():
     assert state.strata.inner_count == 0
 
 
-def test_budget_zero_iteration_only_appends_estimate():
-    state = run_preliminary(small_config())
+def test_budget_zero_iteration_only_appends_estimate(tmp_path):
+    state = run_preliminary(small_config(), tmp_path / "r")
     ids_before = [s.id for s in state.samples]
     run_iteration(state, 0)
     assert [s.id for s in state.samples] == ids_before
     assert state.iteration == 1
     assert len(state.estimates) == 1
-    assert state.allocations == [None]
+    assert (tmp_path / "r" / "iter_001" / "estimate.json").exists()
+    assert not (tmp_path / "r" / "iter_001" / "allocation.tsv").exists()
 
 
 def test_iteration_accounting_and_monotone_information():
@@ -92,20 +94,26 @@ def test_iteration_accounting_and_monotone_information():
     ids = [s.id for s in state.samples]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
     # every sample is re-binned under the current model
-    for s in evaluated(state.samples):
-        assert s.stratum == state.strata.bin(state.model.predict(s.params))
+    samples = evaluated(state.samples)
+    rebinned = state.strata.bin_many(state.model.predict_many(np.vstack([s.params for s in samples])))
+    assert [s.stratum for s in samples] == rebinned.tolist()
     assert len(state.estimates) == 2
 
 
-def test_single_mode_freezes_model_and_strata():
+def test_single_mode_freezes_model_and_strata(tmp_path):
     cfg = small_config(mode="single", preliminary_count=60, iteration_budgets=(25,))
-    state = run_preliminary(cfg)
+    state = run_preliminary(cfg, tmp_path / "r")
     model_before = state.model
     edges_before = state.strata.edges.copy()
     run_iteration(state, 25)
     assert state.model is model_before
     np.testing.assert_array_equal(state.strata.edges, edges_before)
     assert state.total_evaluations() == 85
+    # every new sample re-bins into the stratum its candidate search claimed
+    header, rows = read_table(tmp_path / "r" / "iter_001" / "allocation.tsv")
+    additional = [int(row[header.index("additional")]) for row in rows]
+    new = [s.stratum for s in state.samples if s.iteration == 1]
+    assert np.bincount(new, minlength=state.strata.n_strata).tolist() == additional
 
 
 def test_campaign_run_dirs_byte_identical(tmp_path):

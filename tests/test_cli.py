@@ -1,10 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from adastrat.cli import main
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
 
 
@@ -54,13 +56,29 @@ def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, 
     assert report["iterations"] == 3
 
 
-def test_bad_config_is_exit_code_2(tmp_path, capsys):
+def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mode": "sideways"}))
     assert main(["run", "--config", str(bad), "--run-dir", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert main(["run", "--config", str(missing), "--run-dir", str(tmp_path / "y")]) == 2
+    # out-of-range numeric settings are refused before any evaluation is spent
+    external = {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]}
+    for k, change in enumerate([
+        {"evaluation_timeout": 0},
+        {"evaluation_timeout": -1.0},
+        {"evaluator": {**external, "timeout": -1}},
+        {"evaluator": external, "evaluation_timeout": -1},
+        {"allocation_prune_share": 1.5},
+        {"allocation_prune_share": 1.0},
+        {"allocation_prune_share": -0.1},
+    ]):
+        bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
+        run_dir = tmp_path / f"numeric{k}"
+        assert main(["run", "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
+        assert "configuration error" in capsys.readouterr().err
+        assert not (run_dir / "samples.tsv").exists()
 
 
 def test_compare_mc_baseline(config_path, capsys):

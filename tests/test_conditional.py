@@ -61,8 +61,8 @@ def test_laplace_symmetry_identity(d, sigma, c):
 @given(st.floats(-3, 3), st.floats(1e-4, 1.0))
 def test_laplace_monotone_in_midpoint(c, sigma):
     grid = np.linspace(c - 12 * sigma, c + 12 * sigma, 41)
-    values = [laplace_exceedance(a, c, sigma) for a in grid]
-    assert all(x <= y for x, y in zip(values, values[1:]))
+    values = laplace_exceedance(grid, c, sigma)
+    assert (np.diff(values) >= 0).all()
     assert values[0] >= 0.0 and values[-1] <= 1.0
 
 
@@ -75,13 +75,16 @@ def test_predict_p2_reference_layout():
     # first inner stratum: midpoint sits 9.9 sigma below the critical value
     expected = 0.5 * math.exp(-9.9 * math.sqrt(2.0))
     assert p2[1] == pytest.approx(expected, rel=1e-12)
-    assert p2[1] == pytest.approx(quad_exceedance(strata.midpoint(1), 0.9, sigma), rel=1e-6, abs=1e-10)
-    assert p2[51] == pytest.approx(laplace_exceedance(strata.midpoint(51), 0.9, sigma), abs=1e-15)
+    mids = strata.midpoints()
+    assert p2[1] == pytest.approx(quad_exceedance(mids[1], 0.9, sigma), rel=1e-6, abs=1e-10)
+    assert p2[51] == pytest.approx(laplace_exceedance(mids[51], 0.9, sigma), abs=1e-15)
 
 
 def test_predict_p2_single_inner_stratum_is_half():
     p2 = predict_p2(build_strata(0.9, 0.01, 1))
     np.testing.assert_allclose(p2, [0.0, 0.5, 1.0])
+    # the two-stratum split of a perfect fit is the hard 0/1 split
+    np.testing.assert_array_equal(predict_p2(degenerate_split(0.9)), [0.0, 1.0])
 
 
 def test_observe_p2_single_stratum_fraction():
@@ -122,13 +125,15 @@ def test_observe_p2_against_rejection_oracle(calibration):
     rng = substream(99, "fit")
     ws = sample_uniform(DEFAULT_SPACE, rng, 300)
     model = fit(DEFAULT_SPACE, [
-        SampleRecord(i, w, j_true=float(obj.evaluate(w))) for i, w in enumerate(ws)
+        SampleRecord(i, w, j_true=float(j)) for i, (w, j) in enumerate(zip(ws, obj.evaluate_many(ws)))
     ])
     strata = build_strata(c, model.sigma, 30)
 
     pool = sample_uniform(DEFAULT_SPACE, substream(100, "pool"), 400_000)
-    idx = strata.bin_many(model.predict_many(pool))
-    exceeds = obj.evaluate_many(pool) > c
+    j_tilde = model.predict_many(pool)
+    j_true = obj.evaluate_many(pool)
+    idx = strata.bin_many(j_tilde)
+    exceeds = j_true > c
     campaign, oracle = {}, {}
     for i in range(strata.n_strata):
         rows = np.flatnonzero(idx == i)
@@ -140,10 +145,15 @@ def test_observe_p2_against_rejection_oracle(calibration):
     sid = 0
     for i, rows in campaign.items():
         for r in rows:
-            samples.append(SampleRecord(sid, pool[r], j_true=float(obj.evaluate(pool[r])),
-                                        j_tilde=float(model.predict(pool[r]))))
+            samples.append(SampleRecord(sid, pool[r], j_true=float(j_true[r]), j_tilde=float(j_tilde[r])))
             sid += 1
     counts, exceed, p2 = observe_p2(strata, samples, c)
+    # the vectorised tally equals a per-sample loop
+    tally = np.zeros((2, strata.n_strata), dtype=np.int64)
+    for s in samples:
+        i = np.searchsorted(strata.edges, s.j_tilde, side="right")
+        tally[:, i] += (1, s.j_true > c)
+    np.testing.assert_array_equal(tally, [counts, exceed])
     for i, truth in oracle.items():
         assert counts[i] >= 25
         tol = 4 * math.sqrt(max(truth * (1 - truth), 1e-6) / counts[i])
@@ -196,7 +206,7 @@ def test_build_conditional_table_shapes():
     ]
     table = build_conditional_table(strata, samples, 0.9, 10)
     assert table.counts.sum() == 2
-    i = strata.bin(0.9005)
+    i = strata.bin_many(0.9005)
     assert table.exceed_counts[i] == 1
     assert table.p2_obs[i] == 0.5
     r = 2 / 10

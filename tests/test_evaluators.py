@@ -25,13 +25,14 @@ def corner(low=True):
 
 def test_quadratic_closed_form_corners():
     obj = SyntheticObjective(kind="quadratic", noise_scale=0.0)
-    assert obj.evaluate(corner()) == pytest.approx(0.12, abs=1e-15)
-    assert obj.evaluate(corner(low=False)) == pytest.approx(0.96, abs=1e-12)
+    low, high = obj.evaluate_many(np.vstack([corner(), corner(low=False)]))
+    assert low == pytest.approx(0.12, abs=1e-15)
+    assert high == pytest.approx(0.96, abs=1e-12)
 
 
 def test_linear_variant_drops_interaction_terms():
     obj = SyntheticObjective(kind="linear", noise_scale=0.0)
-    assert obj.evaluate(corner(low=False)) == pytest.approx(0.96 - 0.15, abs=1e-12)
+    assert obj.evaluate_many(corner(low=False))[0] == pytest.approx(0.96 - 0.15, abs=1e-12)
 
 
 def test_unknown_kind_rejected():
@@ -46,7 +47,7 @@ def test_out_of_box_input_rejected():
     w = corner()
     w[0] -= 1.0
     with pytest.raises(BoundsError, match="aspect_ratio"):
-        obj.evaluate(w)
+        obj.evaluate_many(w)
 
 
 def test_noise_is_bounded_deterministic_and_seed_keyed():
@@ -58,8 +59,10 @@ def test_noise_is_bounded_deterministic_and_seed_keyed():
     np.testing.assert_array_equal(noisy, again)
     assert np.abs(noisy - base).max() <= 0.05 + 1e-15
     assert (noisy != other).any()
-    # scalar and vector paths agree exactly
-    assert SyntheticObjective(noise_scale=0.05, seed=3).evaluate(ws[7]) == noisy[7]
+    # the batch interface and the vector closed form agree exactly
+    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
+    out = evaluate_batch(SyntheticObjective(noise_scale=0.05, seed=3), reqs)
+    assert [r.objective for r in out.results] == noisy.tolist()
 
 
 def test_oracle_probability_extreme_critical_values():

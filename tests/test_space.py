@@ -75,16 +75,16 @@ def test_sample_uniform_kolmogorov_smirnov_each_dimension():
 def test_normalize_trivials():
     lows = DEFAULT_SPACE.lows()
     highs = lows + DEFAULT_SPACE.spans()
-    np.testing.assert_allclose(DEFAULT_SPACE.normalize(lows), np.zeros(6))
-    np.testing.assert_allclose(DEFAULT_SPACE.normalize(highs), np.ones(6))
-    mid = DEFAULT_SPACE.normalize(np.array([10.0, 35.0, 5.0, 4.0, 2.5, 0.2]))
-    assert mid[0] == pytest.approx(0.5)
+    us = DEFAULT_SPACE.normalize_many(np.vstack([lows, highs, [10.0, 35.0, 5.0, 4.0, 2.5, 0.2]]))
+    np.testing.assert_allclose(us[0], np.zeros(6))
+    np.testing.assert_allclose(us[1], np.ones(6))
+    assert us[2, 0] == pytest.approx(0.5)
 
 
 def test_normalize_names_offending_dimension():
     w = np.array([4.0, 35.0, 5.0, 4.0, 2.5, 0.2])
     with pytest.raises(BoundsError, match="aspect_ratio"):
-        DEFAULT_SPACE.normalize(w)
+        DEFAULT_SPACE.normalize_many(w)
     bad = np.tile([10.0, 35.0, 5.0, 4.0, 2.5, 0.2], (3, 1))
     bad[2, 4] = 9.9
     with pytest.raises(BoundsError, match="beta"):

@@ -22,7 +22,7 @@ def test_fit_exact_linear_one_dim():
     assert model.training_count == 20
     # predictions interpolate the training data
     np.testing.assert_allclose(model.predict_many(ws), 0.2 + 0.5 * ws[:, 0], atol=1e-10)
-    assert model.predict(np.array([1.0])) == pytest.approx(0.7, abs=1e-10)
+    assert model.predict_many(np.array([1.0]))[0] == pytest.approx(0.7, abs=1e-10)
 
 
 def test_fit_constant_response():
