@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Write four fixed run directories for comparing two checkouts byte for byte.
+
+    python scripts/rundir_cases.py --out DIR
+
+writes DIR/crit7, DIR/reference, DIR/ensemble and DIR/multi-iterate:
+
+- ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
+  evaluations, 10^5 pool) at seed 13;
+- ``reference``: the reference single campaign (100 + 99 evaluations,
+  102 strata) at seed 0 with a 2*10^6 pool;
+- ``ensemble``: the small multi ensemble (10 + 30 + 21 evaluations) at seed 0;
+- ``multi-iterate``: ten 20-evaluation iterations at seed 5, each re-entered
+  through ``load_state``, as ``adastrat iterate`` does.
+
+Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
+timing-free files of equal code and equal seeds must not differ.
+"""
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from adastrat.campaign import load_state, run_campaign, run_iteration, run_preliminary, write_report
+from adastrat.config import RunConfig
+
+CALIBRATION = json.loads((ROOT / "tests" / "fixtures" / "calibration.json").read_text())
+REFERENCE = dict(critical_value=CALIBRATION["critical_value"], evaluator=CALIBRATION["evaluator"])
+
+CASES = {
+    "crit7": RunConfig(
+        **REFERENCE, preliminary_count=40, iteration_budgets=(20, 10), inner_strata=20,
+        pool_size=100_000, mode="multi", seed=13,
+    ),
+    "reference": RunConfig(
+        **REFERENCE, preliminary_count=100, iteration_budgets=(99,), inner_strata=100,
+        pool_size=2_000_000, mode="single", seed=0, allocation_prune_share=0.005,
+    ),
+    "ensemble": RunConfig(
+        **REFERENCE, preliminary_count=10, iteration_budgets=(30, 21), inner_strata=20,
+        pool_size=1_000_000, mode="multi", seed=0, n_confident=10, band_halfwidth_sigmas=20.0,
+    ),
+    "multi-iterate": RunConfig(
+        **REFERENCE, preliminary_count=20, iteration_budgets=(20,) * 10, inner_strata=20,
+        band_halfwidth_sigmas=20.0, pool_size=100_000, mode="multi", seed=5,
+    ),
+}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True, help="directory to create the run dirs in")
+    args = parser.parse_args()
+    for name, config in CASES.items():
+        run_dir = args.out / name
+        if run_dir.exists():
+            parser.error(f"{run_dir} already exists")
+        if name == "multi-iterate":  # every iteration starts from the persisted state
+            run_preliminary(config, run_dir)
+            for budget in config.iteration_budgets:
+                state = load_state(run_dir)
+                run_iteration(state, budget)
+                write_report(state)
+        else:
+            run_campaign(config, run_dir)
+        print(f"wrote {run_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

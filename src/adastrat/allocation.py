@@ -19,7 +19,12 @@ from .errors import AllocationError, UnfillableStratumError
 from .strata import StratumSet
 from .surrogate import SurrogateModel
 
-_SEARCH_BATCH = 1 << 16
+# Rows per candidate-search draw. At d = 6 a batch and each temporary made
+# from it take 192 KiB, which stays in a 2 MiB L2. The search stops after the
+# first batch that fills every quota, and the last kept row usually sits a few
+# thousand rows into the stream, so a small batch also draws little past it.
+# ``per_stratum_cap`` is checked once per batch, that is every 4,096 rows.
+_SEARCH_BATCH = 1 << 12
 
 
 def optimal_weights(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -207,7 +212,13 @@ def select_candidates(
     deterministic for a given generator state. Results are ordered by
     (stratum index, draw order). A stratum still unfilled after
     ``per_stratum_cap * additional[i]`` total draws raises
-    UnfillableStratumError.
+    UnfillableStratumError; the cap is checked after each batch of
+    ``_SEARCH_BATCH`` rows, so it is met to within one batch.
+
+    The generator is drawn in ``_SEARCH_BATCH``-row batches. Consecutive
+    ``rng.random((m, d))`` calls return the same rows as one large call, so
+    the picks do not depend on the batch size; only how many rows are drawn
+    past the last kept one (fewer than one batch) does.
 
     Candidates are binned from their natural-unit representation through
     ``model.predict_many``, the path that re-bins every campaign sample, so

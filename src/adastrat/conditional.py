@@ -100,22 +100,6 @@ def mix_p2(
                     np.asarray(p2_pred, dtype=float))
 
 
-def p2_variance(p2: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biased and unbiased binomial variances of per-stratum probabilities.
-
-    Biased uses divisor N_i (0 by convention where N_i = 0); unbiased uses
-    N_i - 1 and is NaN (absent) wherever N_i <= 1.
-    """
-    p2 = np.asarray(p2, dtype=float)
-    counts = np.asarray(counts)
-    spread = p2 * (1.0 - p2)
-    biased = np.where(counts >= 1, spread / np.maximum(counts, 1), 0.0)
-    unbiased = np.full(p2.shape, np.nan)
-    ok = counts >= 2
-    unbiased[ok] = spread[ok] / (counts[ok] - 1)
-    return biased, unbiased
-
-
 @dataclass(frozen=True)
 class ConditionalTable:
     """Snapshot of all three conditional-probability views for one iteration."""

@@ -7,6 +7,7 @@ band of halfwidth 10 sigma, a ten-million-draw occupancy pool).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -16,6 +17,28 @@ from .evaluators import ExternalEvaluator, SyntheticObjective
 from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace
 
 MODES = ("single", "multi")
+_INT_FIELDS = (
+    "preliminary_count", "inner_strata", "pool_size", "n_confident",
+    "seed", "parallelism", "min_pool_hits", "per_stratum_cap",
+)
+_FLOAT_FIELDS = (
+    "critical_value", "band_halfwidth_sigmas", "allocation_prune_share",
+    "evaluation_timeout", "failure_abort_fraction",
+)
+
+
+def _int(name: str, value: Any) -> int:
+    """``value`` if it is an int (and not a bool); ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(name: str, value: Any) -> float:
+    """``value`` if it is a finite int or float (and not a bool); ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _default_evaluator() -> dict:
@@ -50,6 +73,19 @@ class RunConfig:
     stop_unbiased_variance_below: Optional[float] = None
 
     def validate(self) -> "RunConfig":
+        for name in _INT_FIELDS:
+            _int(name, getattr(self, name))
+        for name in _FLOAT_FIELDS:
+            _finite(name, getattr(self, name))
+        for b in self.iteration_budgets:
+            _int("iteration budget", b)
+        if self.stop_unbiased_variance_below is not None:
+            _finite("stop_unbiased_variance_below", self.stop_unbiased_variance_below)
+        if not isinstance(self.sigma_dof_corrected, bool):
+            raise ConfigError(f"sigma_dof_corrected must be true or false, got {self.sigma_dof_corrected!r}")
+        for name in ("evaluator", "preliminary_design"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         if self.preliminary_count < self.space.dim + 1:
             raise ConfigError(
                 f"preliminary_count must be at least dim+1 = {self.space.dim + 1}, "
@@ -71,6 +107,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.per_stratum_cap < 1:
+            raise ConfigError(f"per_stratum_cap must be >= 1, got {self.per_stratum_cap}")
         if not (0.0 <= self.failure_abort_fraction <= 1.0):
             raise ConfigError("failure_abort_fraction must lie in [0, 1]")
         if not (0.0 <= self.allocation_prune_share < 1.0):
@@ -86,7 +124,7 @@ class RunConfig:
                 raise ConfigError("product design needs a 'counts' mapping of group -> draws")
             total = 1
             for v in counts.values():
-                total *= int(v)
+                total *= _int("product design count", v)
             if total != self.preliminary_count:
                 raise ConfigError(
                     f"product design counts multiply to {total}, "
@@ -108,18 +146,23 @@ class RunConfig:
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     doc = dict(doc)
     if "space" in doc:
+        specs = doc["space"]
+        if not isinstance(specs, list) or not all(isinstance(d, dict) and "name" in d for d in specs):
+            raise ConfigError("space must be a list of {name, min, max[, group]} objects")
         dims = tuple(
             ParameterDef(
                 name=str(d["name"]),
-                min=float(d["min"]),
-                max=float(d["max"]),
+                min=float(_finite(f"space {d['name']!r} min", d.get("min"))),
+                max=float(_finite(f"space {d['name']!r} max", d.get("max"))),
                 group=str(d.get("group", "")),
             )
-            for d in doc["space"]
+            for d in specs
         )
         doc["space"] = ParameterSpace(dims)
     if "iteration_budgets" in doc:
-        doc["iteration_budgets"] = tuple(int(b) for b in doc["iteration_budgets"])
+        if not isinstance(doc["iteration_budgets"], list):
+            raise ConfigError(f"iteration_budgets must be a list, got {doc['iteration_budgets']!r}")
+        doc["iteration_budgets"] = tuple(doc["iteration_budgets"])
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:
@@ -150,17 +193,17 @@ def build_evaluator(config: RunConfig):
     if kind == "synthetic":
         return SyntheticObjective(
             kind=spec.pop("kind", "quadratic"),
-            noise_scale=float(spec.pop("noise_scale", 0.0)),
-            seed=int(spec.pop("seed", 0)),
+            noise_scale=float(_finite("evaluator noise_scale", spec.pop("noise_scale", 0.0))),
+            seed=_int("evaluator seed", spec.pop("seed", 0)),
             space=config.space,
         )
     if kind == "external":
         command = spec.pop("command", None)
-        if not command:
+        if not command or not isinstance(command, list):
             raise ConfigError("external evaluator config needs a 'command' list")
         return ExternalEvaluator(
             command=[str(c) for c in command],
-            timeout=float(spec.pop("timeout", config.evaluation_timeout)),
+            timeout=float(_finite("evaluator timeout", spec.pop("timeout", config.evaluation_timeout))),
             space=config.space,
         )
     raise ConfigError(f"evaluator type must be 'synthetic' or 'external', got {kind!r}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adastrat import allocation
 from adastrat.allocation import (
     allocate,
     optimal_weights,
@@ -19,6 +20,15 @@ from adastrat.surrogate import SurrogateModel
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
 IDENTITY = SurrogateModel(space=UNIT, intercept=0.0, coefficients=np.array([1.0]), sigma=0.05, training_count=10)
+
+# A 2-D search: j~ = 0.75 u_a + 0.25 u_b lies in [0, 1], so both tails of a
+# band of +-0.1 around 0.5 hold about 0.4 of the mass and each of its ten
+# inner strata about 0.027.
+PLANE = ParameterSpace((ParameterDef("a", 0.0, 2.0), ParameterDef("b", -1.0, 1.0)))
+TILTED = SurrogateModel(space=PLANE, intercept=0.0, coefficients=np.array([0.75, 0.25]), sigma=0.01, training_count=10)
+BAND = build_strata(0.5, 0.01, 10)
+QUOTAS = np.zeros(BAND.n_strata, dtype=np.int64)
+QUOTAS[[0, 3, 5, BAND.n_strata - 1]] = [3, 4, 150, 2]  # 150 hits at 0.027 need about 5,600 rows
 
 
 def brute_force_minimum(p1, p2, budget):
@@ -186,3 +196,48 @@ def test_select_candidates_deterministic():
     a = select_candidates(strata, IDENTITY, additional, substream(8, "det"))
     b = select_candidates(strata, IDENTITY, additional, substream(8, "det"))
     np.testing.assert_array_equal(np.array([w for _, w in a]), np.array([w for _, w in b]))
+
+
+def first_hits(seed, additional):
+    """Reference search: one draw of 2^16 rows, then the first hits per stratum.
+
+    Returns the picks in (stratum, draw order) and the stream index of the
+    last kept row.
+    """
+    ws = PLANE.denormalize_many(substream(seed, "batch").random((1 << 16, PLANE.dim)))
+    idx = BAND.bin_many(TILTED.predict_many(ws))
+    picks, last = [], -1
+    for i in np.flatnonzero(additional > 0):
+        at = np.flatnonzero(idx == i)[: additional[i]]
+        assert at.size == additional[i], "reference draw too short for the quota"
+        picks.extend((int(i), ws[r]) for r in at)
+        last = max(last, int(at[-1]))
+    return picks, last
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096, 65536])
+def test_select_candidates_independent_of_batch_size(monkeypatch, batch):
+    expected, _ = first_hits(9, QUOTAS)
+    monkeypatch.setattr(allocation, "_SEARCH_BATCH", batch)
+    picks = select_candidates(BAND, TILTED, QUOTAS, substream(9, "batch"))
+    assert [i for i, _ in picks] == [i for i, _ in expected]
+    np.testing.assert_array_equal(np.array([w for _, w in picks]), np.array([w for _, w in expected]))
+
+
+class CountingGenerator:
+    """Generator stand-in that counts the rows the search draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = 0
+
+    def random(self, size):
+        self.rows += size[0]
+        return self.rng.random(size)
+
+
+def test_select_candidates_stops_within_one_batch_of_last_kept_row():
+    _, last = first_hits(10, QUOTAS)
+    rng = CountingGenerator(substream(10, "batch"))
+    select_candidates(BAND, TILTED, QUOTAS, rng)
+    assert last + 1 <= rng.rows < last + 1 + allocation._SEARCH_BATCH

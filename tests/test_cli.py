@@ -73,6 +73,16 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         {"allocation_prune_share": 1.5},
         {"allocation_prune_share": 1.0},
         {"allocation_prune_share": -0.1},
+        {"per_stratum_cap": 0},
+        # wrongly typed or non-finite settings too
+        {"inner_strata": 20.5},
+        {"preliminary_count": True},
+        {"iteration_budgets": [15, 10.5]},
+        {"critical_value": float("nan")},
+        {"band_halfwidth_sigmas": float("inf")},
+        {"evaluator": {**SYNTH, "noise_scale": "abc"}},
+        {"evaluator": {**SYNTH, "seed": 1.5}},
+        {"evaluator": {**external, "timeout": "abc"}},
     ]):
         bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
         run_dir = tmp_path / f"numeric{k}"

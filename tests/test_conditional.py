@@ -10,7 +10,6 @@ from adastrat.conditional import (
     laplace_exceedance,
     mix_p2,
     observe_p2,
-    p2_variance,
     predict_p2,
 )
 from adastrat.errors import ContractError, DegenerateModelError
@@ -181,21 +180,6 @@ def test_mix_p2_is_convex_combination(obs, pred, count, n_confident):
         assert min(obs, pred) - 1e-12 <= m <= max(obs, pred) + 1e-12
         if count >= n_confident:
             assert m == pytest.approx(obs, abs=1e-12)
-
-
-def test_p2_variance_cases():
-    biased, unbiased = p2_variance(np.array([0.0, 1.0, 0.5, 0.5]), np.array([5, 5, 2, 1]))
-    assert biased[0] == 0.0 and biased[1] == 0.0
-    assert biased[2] == pytest.approx(0.125)
-    assert unbiased[2] == pytest.approx(0.25)
-    assert np.isnan(unbiased[3])
-    assert biased[3] == pytest.approx(0.25)
-
-
-@given(st.floats(0.01, 0.99), st.integers(2, 50))
-def test_p2_variance_biased_below_unbiased(p, n):
-    biased, unbiased = p2_variance(np.array([p]), np.array([n]))
-    assert biased[0] < unbiased[0]
 
 
 def test_build_conditional_table_shapes():
