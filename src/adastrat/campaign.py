@@ -30,14 +30,20 @@ from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate
 from .evaluators import EvaluationRequest, evaluate_batch
 from .rng import substream
-from .space import SampleRecord, evaluated, sample_product, sample_uniform
+from .space import SampleRecord, sample_product, sample_uniform
 from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights
-from .surrogate import SurrogateModel, fit, training_residuals
+from .surrogate import SurrogateModel, fit
+
+#: Version of the run-directory layout that ``state.json`` commits.
+STATE_FORMAT = 2
 
 
 @dataclass
 class RunState:
-    """Everything the campaign knows between iterations."""
+    """Everything the campaign knows between iterations.
+
+    ``load_state`` restores only the last of ``estimates``.
+    """
 
     config: RunConfig
     run_dir: Optional[Path]
@@ -50,19 +56,17 @@ class RunState:
     estimates: list[RareEventEstimate] = field(default_factory=list)
 
     def total_evaluations(self) -> int:
-        return len(evaluated(self.samples))
+        return len(self.samples)
 
-
-def _rebin_samples(state: RunState) -> None:
-    """Refresh every record's surrogate value and stratum under the current model."""
-    j_tilde = state.model.predict_many(np.vstack([s.params for s in state.samples]))
-    for s, value, i in zip(state.samples, j_tilde, state.strata.bin_many(j_tilde)):
-        s.j_tilde, s.stratum = float(value), int(i)
+    def observations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(surrogate value under the current model, true objective) of every sample."""
+        j_tilde = self.model.predict_many(np.vstack([s.params for s in self.samples]))
+        return j_tilde, np.array([s.j_true for s in self.samples])
 
 
 def _fit_and_stratify(state: RunState) -> None:
     cfg = state.config
-    state.model = fit(cfg.space, evaluated(state.samples), dof_corrected=cfg.sigma_dof_corrected)
+    state.model = fit(cfg.space, state.samples, dof_corrected=cfg.sigma_dof_corrected)
     try:
         state.strata = build_strata(
             cfg.critical_value,
@@ -79,7 +83,6 @@ def _fit_and_stratify(state: RunState) -> None:
         cfg.pool_size,
         substream(cfg.seed, "pool", state.iteration),
     )
-    _rebin_samples(state)
 
 
 def _evaluate_new(
@@ -125,8 +128,6 @@ def _evaluate_new(
 
 def _persist_iteration(
     state: RunState,
-    iteration: int,
-    new_records: list[SampleRecord],
     table: Optional[ConditionalTable],
     plan: Optional[AllocationPlan],
     estimate: Optional[RareEventEstimate],
@@ -134,13 +135,11 @@ def _persist_iteration(
 ) -> None:
     if state.run_dir is None:
         return
-    run_dir = state.run_dir
+    run_dir, iteration = state.run_dir, state.iteration
     d = persist.iter_dir(run_dir, iteration)
     d.mkdir(parents=True, exist_ok=True)
-    names = state.config.space.names
     if write_model:
-        residuals = training_residuals(state.model, evaluated(state.samples))
-        persist.write_model(d / "model.json", state.model, residuals)
+        persist.write_model(d / "model.json", state.model)
         persist.write_strata(d / "strata.json", state.strata)
         persist.write_weights(d / "weights.tsv", state.strata, state.weights)
     if table is not None:
@@ -149,12 +148,22 @@ def _persist_iteration(
         persist.write_allocation(d / "allocation.tsv", plan)
     if estimate is not None:
         persist.write_estimate(d, state.strata, estimate)
-    persist.write_samples(d / "new_samples.tsv", names, new_records)
-    persist.write_samples(run_dir / "samples.tsv", names, state.samples)
-    persist.write_doc(
-        run_dir / "state.json",
-        {"iterations_completed": state.iteration, "next_id": state.next_id},
-    )
+    new = [s for s in state.samples if s.iteration == iteration]
+    committed = len(state.samples) - len(new)
+    persist.append_samples(run_dir / "samples.tsv", state.config.space.names, new, committed)
+    # the commit: a resume continues from exactly these counts
+    persist.write_doc(run_dir / "state.json", {
+        "format": STATE_FORMAT, "iterations_completed": state.iteration,
+        "next_id": state.next_id, "samples": len(state.samples),
+    })
+
+
+def init_run_dir(config: RunConfig, run_dir: Path) -> None:
+    """Create ``run_dir`` holding only the config; refuse one that holds a campaign."""
+    if (run_dir / "state.json").exists():
+        raise ConfigError(f"run directory {run_dir} already holds a campaign; resume it with `run`")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    persist.write_doc(run_dir / "config.json", config.to_dict())
 
 
 def run_preliminary(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
@@ -162,10 +171,7 @@ def run_preliminary(config: RunConfig, run_dir: Optional[Path] = None) -> RunSta
     config.validate()
     if run_dir is not None:
         run_dir = Path(run_dir)
-        if (run_dir / "state.json").exists():
-            raise ConfigError(f"run directory {run_dir} already holds a campaign; use resume")
-        run_dir.mkdir(parents=True, exist_ok=True)
-        persist.write_doc(run_dir / "config.json", config.to_dict())
+        init_run_dir(config, run_dir)
     state = RunState(config=config, run_dir=run_dir)
     rng = substream(config.seed, "preliminary")
     if config.preliminary_design.get("type") == "product":
@@ -175,7 +181,7 @@ def run_preliminary(config: RunConfig, run_dir: Optional[Path] = None) -> RunSta
         params = sample_uniform(config.space, rng, config.preliminary_count)
     _evaluate_new(state, params, iteration=0, abort_fraction=config.failure_abort_fraction)
     _fit_and_stratify(state)
-    _persist_iteration(state, 0, state.samples[:], None, None, None, write_model=True)
+    _persist_iteration(state, None, None, None, write_model=True)
     return state
 
 
@@ -189,11 +195,10 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     k = state.iteration + 1
     table: Optional[ConditionalTable] = None
     plan: Optional[AllocationPlan] = None
-    new_records: list[SampleRecord] = []
     refit_happened = False
     if budget > 0:
         table = build_conditional_table(
-            state.strata, evaluated(state.samples), cfg.critical_value, cfg.n_confident
+            state.strata, *state.observations(), cfg.critical_value, cfg.n_confident
         )
         p2_for_allocation = table.p2_pred if cfg.mode == "single" else table.p2_mix
         plan = plan_allocation(
@@ -217,13 +222,11 @@ def run_iteration(state: RunState, budget: int) -> RunState:
             state.iteration = k  # the pool substream is named after the refit index
             _fit_and_stratify(state)
             refit_happened = True
-        else:
-            _rebin_samples(state)
     state.iteration = k
-    counts, exceed, _ = observe_p2(state.strata, evaluated(state.samples), cfg.critical_value)
-    est = build_estimate(state.weights, state.strata, counts, exceed)
+    counts, _, p2_obs = observe_p2(state.strata, *state.observations(), cfg.critical_value)
+    est = build_estimate(state.weights, state.strata, counts, p2_obs)
     state.estimates.append(est)
-    _persist_iteration(state, k, new_records, table, plan, est, write_model=refit_happened)
+    _persist_iteration(state, table, plan, est, write_model=refit_happened)
     return state
 
 
@@ -250,14 +253,20 @@ def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
 
 
 def load_state(run_dir: Path) -> RunState:
-    """Rebuild a RunState from a persisted run directory."""
+    """Rebuild a RunState from the last commit of a persisted run directory."""
     run_dir = Path(run_dir)
-    config = config_from_dict(persist.read_doc(run_dir / "config.json"))
+    if not (run_dir / "state.json").exists():
+        problem = "holds no committed campaign; start it with `run`" if run_dir.is_dir() else "does not exist"
+        raise ConfigError(f"run directory {run_dir} {problem}")
     doc = persist.read_doc(run_dir / "state.json")
+    if doc.get("format") != STATE_FORMAT:
+        raise ConfigError(f"run directory {run_dir} has state format {doc.get('format', 1)}, "
+                          f"not {STATE_FORMAT}")
+    config = config_from_dict(persist.read_doc(run_dir / "config.json"))
     state = RunState(config=config, run_dir=run_dir)
     state.iteration = int(doc["iterations_completed"])
     state.next_id = int(doc["next_id"])
-    state.samples = persist.read_samples(run_dir / "samples.tsv", config.space.names)
+    state.samples = persist.read_samples(run_dir / "samples.tsv", config.space.names, int(doc["samples"]))
     # the latest model/strata/weights live in the newest iteration dir that has them
     for k in range(state.iteration, -1, -1):
         d = persist.iter_dir(run_dir, k)
@@ -266,10 +275,8 @@ def load_state(run_dir: Path) -> RunState:
             state.strata = persist.read_strata(d / "strata.json")
             state.weights = persist.read_weights(d / "weights.tsv")
             break
-    for k in range(1, state.iteration + 1):
-        d = persist.iter_dir(run_dir, k)
-        if (d / "estimate.json").exists():
-            state.estimates.append(persist.read_estimate(d))
+    if state.iteration > 0:
+        state.estimates.append(persist.read_estimate(persist.iter_dir(run_dir, state.iteration)))
     return state
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .campaign import (
     final_report,
+    init_run_dir,
     load_state,
     render_report,
     run_campaign,
@@ -88,15 +89,8 @@ def _load(args) -> "RunConfig":
 
 
 def _cmd_init(args) -> int:
-    config = _load(args)
-    run_dir = Path(args.run_dir)
-    if (run_dir / "state.json").exists():
-        raise ConfigError(f"run directory {run_dir} already holds a campaign")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    from . import persist
-
-    persist.write_doc(run_dir / "config.json", config.to_dict())
-    print(f"initialized run directory {run_dir}")
+    init_run_dir(_load(args), Path(args.run_dir))
+    print(f"initialized run directory {args.run_dir}")
     return EXIT_OK
 
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DegenerateModelError
-from .space import SampleRecord
 from .strata import StratumSet
 
 _SQRT2 = math.sqrt(2.0)
@@ -55,20 +53,19 @@ def predict_p2(strata: StratumSet) -> np.ndarray:
 
 def observe_p2(
     strata: StratumSet,
-    samples: Sequence[SampleRecord],
+    j_tilde: np.ndarray,
+    j_true: np.ndarray,
     critical_value: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical exceedance per stratum from evaluated samples.
+    """Empirical exceedance per stratum from the samples' surrogate and true values.
 
     Returns (counts, exceed_counts, p2_obs); strata without samples carry NaN
     in ``p2_obs``. Exceedance is strict (j_true > critical_value).
     """
-    j_true = np.array([s.j_true for s in samples], dtype=float)
-    j_tilde = np.array([s.j_tilde for s in samples], dtype=float)
-    for values, what in ((j_true, "objective"), (j_tilde, "surrogate")):
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            raise ContractError(f"sample {samples[missing[0]].id} has no {what} value")
+    j_true = np.asarray(j_true, dtype=float)
+    missing = np.flatnonzero(np.isnan(j_true))
+    if missing.size:
+        raise ContractError(f"sample row {int(missing[0])} has no objective value")
     idx = strata.bin_many(j_tilde)
     n = strata.n_strata
     counts = np.bincount(idx, minlength=n)
@@ -109,17 +106,17 @@ class ConditionalTable:
     counts: np.ndarray
     exceed_counts: np.ndarray
     p2_mix: np.ndarray
-    n_confident: int
 
 
 def build_conditional_table(
     strata: StratumSet,
-    samples: Sequence[SampleRecord],
+    j_tilde: np.ndarray,
+    j_true: np.ndarray,
     critical_value: float,
     n_confident: int,
 ) -> ConditionalTable:
     pred = predict_p2(strata)
-    counts, exceed, obs = observe_p2(strata, samples, critical_value)
+    counts, exceed, obs = observe_p2(strata, j_tilde, j_true, critical_value)
     mix = mix_p2(obs, pred, counts, n_confident)
     return ConditionalTable(
         p2_pred=pred,
@@ -127,5 +124,4 @@ def build_conditional_table(
         counts=counts,
         exceed_counts=exceed,
         p2_mix=mix,
-        n_confident=n_confident,
     )

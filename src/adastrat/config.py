@@ -191,22 +191,26 @@ def build_evaluator(config: RunConfig):
     spec = dict(config.evaluator)
     kind = spec.pop("type", None)
     if kind == "synthetic":
-        return SyntheticObjective(
+        evaluator = SyntheticObjective(
             kind=spec.pop("kind", "quadratic"),
             noise_scale=float(_finite("evaluator noise_scale", spec.pop("noise_scale", 0.0))),
             seed=_int("evaluator seed", spec.pop("seed", 0)),
             space=config.space,
         )
-    if kind == "external":
+    elif kind == "external":
         command = spec.pop("command", None)
         if not command or not isinstance(command, list):
             raise ConfigError("external evaluator config needs a 'command' list")
-        return ExternalEvaluator(
+        evaluator = ExternalEvaluator(
             command=[str(c) for c in command],
             timeout=float(_finite("evaluator timeout", spec.pop("timeout", config.evaluation_timeout))),
             space=config.space,
         )
-    raise ConfigError(f"evaluator type must be 'synthetic' or 'external', got {kind!r}")
+    else:
+        raise ConfigError(f"evaluator type must be 'synthetic' or 'external', got {kind!r}")
+    if spec:
+        raise ConfigError(f"unknown {kind} evaluator keys: {sorted(spec)}")
+    return evaluator
 
 
 def with_overrides(

@@ -83,20 +83,16 @@ def naive_mc_equivalent(probability: float, target_variance: float) -> int:
     return math.ceil(probability * (1.0 - probability) / target_variance)
 
 
-def hard_tail_p2(strata: StratumSet, counts: np.ndarray, exceed: np.ndarray) -> np.ndarray:
+def hard_tail_p2(strata: StratumSet, counts: np.ndarray, p2_obs: np.ndarray) -> np.ndarray:
     """Observed exceedance rates with hard 0/1 extrapolation for empty strata.
 
-    An unsampled stratum inherits 0 when its midpoint sits below the critical
-    value and 1 otherwise — the limit behavior of a perfectly trusted
-    surrogate, and the convention the final single-shot estimate rests on.
+    ``p2_obs`` is the observed rate of ``observe_p2``. An unsampled stratum
+    inherits 0 when its midpoint sits below the critical value and 1
+    otherwise — the limit behavior of a perfectly trusted surrogate, and the
+    convention the final single-shot estimate rests on.
     """
-    counts = np.asarray(counts)
-    exceed = np.asarray(exceed)
-    mids = strata.midpoints()
-    p2 = np.where(mids < strata.critical_value, 0.0, 1.0)
-    seen = counts > 0
-    p2[seen] = exceed[seen] / counts[seen]
-    return p2
+    hard = np.where(strata.midpoints() < strata.critical_value, 0.0, 1.0)
+    return np.where(np.asarray(counts) > 0, p2_obs, hard)
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,10 @@ def build_estimate(
     weights: StratumWeights,
     strata: StratumSet,
     counts: np.ndarray,
-    exceed: np.ndarray,
+    p2_obs: np.ndarray,
 ) -> RareEventEstimate:
-    """Assemble the full estimate from stratum weights and observations."""
-    p2 = hard_tail_p2(strata, counts, exceed)
+    """Assemble the full estimate from stratum weights and ``observe_p2``'s counts and rates."""
+    p2 = hard_tail_p2(strata, counts, p2_obs)
     p1 = weights.p1
     prob = estimate(p1, p2)
     bvar = biased_variance(p1, p2, counts)

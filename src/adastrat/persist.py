@@ -1,19 +1,23 @@
 """Run-directory persistence.
 
-Everything a resumed process needs is written at iteration boundaries,
-atomically (write to a temp file, then rename). Tables are tab-separated
-text; documents are JSON. Floats are serialized with shortest round-trip
-precision, so a reloaded run is bit-identical to the run that wrote it.
-Wall-clock timings never enter these files; ``run.log`` gets only failure
-notes and the early-stop line.
+``state.json`` is the commit record, written last at each iteration
+boundary; it counts the committed rows of ``samples.tsv``, the append-only
+table of measured samples. Loading reads only the committed rows and writes
+nothing; the next append cuts off any rows past them. Every other file is
+replaced atomically (a uniquely named temp file, then a rename).
+Tables are tab-separated text; documents are JSON. Floats are serialized
+with shortest round-trip precision, so a reloaded run is bit-identical to
+the run that wrote it. Wall-clock timings never enter these files;
+``run.log`` gets only failure notes and the early-stop line.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import uuid
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +32,6 @@ from .surrogate import SurrogateModel
 
 def _fmt(x) -> str:
     """Exact round-trip text for one cell."""
-    if x is None:
-        return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
@@ -38,21 +40,25 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _parse_float(cell: str) -> Optional[float]:
-    return None if cell == "" else float(cell)
+def _line(cells: Sequence) -> str:
+    return "\t".join(_fmt(cell) for cell in cells) + "\n"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Replace ``path`` by way of a uniquely named temp file in the same directory."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_fmt(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\t".join(header) + "\n" + "".join(_line(row) for row in rows))
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -75,40 +81,47 @@ def iter_dir(run_dir: Path, iteration: int) -> Path:
 
 # -- samples ---------------------------------------------------------------
 
-def write_samples(path: Path, names: Sequence[str], samples: Sequence[SampleRecord]) -> None:
-    header = ["id", "iteration", *names, "j_true", "j_tilde", "stratum"]
-    rows = [
-        [s.id, s.iteration, *s.params, s.j_true, s.j_tilde, s.stratum]
-        for s in samples
-    ]
-    write_table(path, header, rows)
+def _sample_header(names: Sequence[str]) -> list[str]:
+    return ["id", "iteration", *names, "j_true"]
 
 
-def read_samples(path: Path, names: Sequence[str]) -> list[SampleRecord]:
+def append_samples(
+    path: Path, names: Sequence[str], samples: Sequence[SampleRecord], committed: int
+) -> None:
+    """Write ``samples`` after the first ``committed`` rows of the table, cutting any rows past
+    them; with none committed the table starts over with its header."""
+    rows = [[s.id, s.iteration, *s.params, s.j_true] for s in samples]
+    if committed == 0:
+        write_table(path, _sample_header(names), rows)
+        return
+    with open(path, "r+b") as f:
+        rest = f.read().split(b"\n", committed + 1)[-1]  # what a crash left past the commit
+        f.seek(-len(rest), os.SEEK_END)
+        f.truncate()
+        f.write("".join(_line(row) for row in rows).encode())
+
+
+def read_samples(path: Path, names: Sequence[str], count: int) -> list[SampleRecord]:
+    """The first ``count`` rows of the sample table; rows past them are not committed."""
     header, rows = read_table(path)
-    expected = ["id", "iteration", *names, "j_true", "j_tilde", "stratum"]
-    if header != expected:
-        raise ConfigError(f"sample table {path} has columns {header}, expected {expected}")
+    columns = _sample_header(names)
+    if header != columns or len(rows) < count:
+        raise ConfigError(f"sample table {path} does not hold {count} committed rows of {columns}")
     d = len(names)
-    out = []
-    for row in rows:
-        stratum = row[4 + d]
-        out.append(
-            SampleRecord(
-                id=int(row[0]),
-                iteration=int(row[1]),
-                params=np.array([float(c) for c in row[2 : 2 + d]]),
-                j_true=_parse_float(row[2 + d]),
-                j_tilde=_parse_float(row[3 + d]),
-                stratum=None if stratum == "" else int(stratum),
-            )
+    return [
+        SampleRecord(
+            id=int(r[0]),
+            iteration=int(r[1]),
+            params=np.array([float(c) for c in r[2 : 2 + d]]),
+            j_true=float(r[2 + d]),
         )
-    return out
+        for r in rows[:count]
+    ]
 
 
 # -- model / strata / weights ----------------------------------------------
 
-def write_model(path: Path, model: SurrogateModel, residuals: np.ndarray) -> None:
+def write_model(path: Path, model: SurrogateModel) -> None:
     write_doc(
         path,
         {
@@ -120,7 +133,6 @@ def write_model(path: Path, model: SurrogateModel, residuals: np.ndarray) -> Non
             "coefficients": [float(c) for c in model.coefficients],
             "sigma": model.sigma,
             "training_count": model.training_count,
-            "residuals": [float(r) for r in residuals],
         },
     )
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -149,21 +149,14 @@ def sample_product(
 
 @dataclass
 class SampleRecord:
-    """One evaluated (or pending) point of the campaign.
+    """One expensive evaluation: where it ran, in which iteration, and what it returned.
 
-    ``j_true`` is present once the expensive evaluator has returned;
-    ``j_tilde`` and ``stratum`` always refer to the current surrogate model
-    and are refreshed whenever the model is refit.
+    Only measured facts are kept. Surrogate values and strata depend on the
+    current model, so the campaign derives them from ``params`` when it needs
+    them instead of caching them here.
     """
 
     id: int
     params: np.ndarray
+    j_true: float
     iteration: int = 0
-    j_true: Optional[float] = None
-    j_tilde: Optional[float] = None
-    stratum: Optional[int] = None
-
-
-def evaluated(samples: Iterable[SampleRecord]) -> list[SampleRecord]:
-    """The subset of records whose expensive objective is known."""
-    return [s for s in samples if s.j_true is not None]

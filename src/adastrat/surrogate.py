@@ -102,10 +102,3 @@ def fit(
         sigma=sigma,
         training_count=n,
     )
-
-
-def training_residuals(model: SurrogateModel, samples: Sequence[SampleRecord]) -> np.ndarray:
-    """Residuals j_true - prediction, in sample order (for inspection)."""
-    ws = np.vstack([s.params for s in samples])
-    y = np.array([s.j_true for s in samples], dtype=float)
-    return y - model.predict_many(ws)

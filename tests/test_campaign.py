@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adastrat import persist
 from adastrat.campaign import (
     final_report,
     load_state,
@@ -16,7 +17,6 @@ from adastrat.campaign import (
 from adastrat.config import RunConfig, config_from_dict
 from adastrat.errors import ConfigError, EvaluationThresholdError
 from adastrat.persist import read_table
-from adastrat.space import evaluated
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -43,7 +43,8 @@ def test_preliminary_reference_shapes():
     assert len(state.samples) == 100
     assert state.strata.n_strata == 102
     assert state.model.training_count == 100
-    assert all(s.stratum is not None and s.j_tilde is not None for s in state.samples)
+    j_tilde, j_true = state.observations()
+    assert state.strata.bin_many(j_tilde).shape == j_true.shape == (100,)
 
     state = run_preliminary(small_config(preliminary_count=10, inner_strata=20))
     assert state.strata.n_strata == 22
@@ -93,10 +94,9 @@ def test_iteration_accounting_and_monotone_information():
     assert state.total_evaluations() == 40 + 20 + 10
     ids = [s.id for s in state.samples]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
-    # every sample is re-binned under the current model
-    samples = evaluated(state.samples)
-    rebinned = state.strata.bin_many(state.model.predict_many(np.vstack([s.params for s in samples])))
-    assert [s.stratum for s in samples] == rebinned.tolist()
+    # the estimate bins every sample under the current model
+    rebinned = state.strata.bin_many(state.model.predict_many(np.vstack([s.params for s in state.samples])))
+    assert state.estimates[-1].counts.tolist() == np.bincount(rebinned, minlength=state.strata.n_strata).tolist()
     assert len(state.estimates) == 2
 
 
@@ -112,7 +112,8 @@ def test_single_mode_freezes_model_and_strata(tmp_path):
     # every new sample re-bins into the stratum its candidate search claimed
     header, rows = read_table(tmp_path / "r" / "iter_001" / "allocation.tsv")
     additional = [int(row[header.index("additional")]) for row in rows]
-    new = [s.stratum for s in state.samples if s.iteration == 1]
+    j_tilde, _ = state.observations()
+    new = state.strata.bin_many(j_tilde)[[s.iteration == 1 for s in state.samples]]
     assert np.bincount(new, minlength=state.strata.n_strata).tolist() == additional
 
 
@@ -147,6 +148,55 @@ def test_interrupted_campaign_resumes_exactly(tmp_path):
     write_report(resumed)
     cmp = filecmp.dircmp(tmp_path / "full", tmp_path / "resumed", ignore=["run.log"])
     assert not _tree_differs(cmp)
+
+
+class _Crash(Exception):
+    """The kill injected at one write point of a campaign."""
+
+
+def _crashing_writers(monkeypatch, writers, crash_at=None):
+    """Route persist's writers through a counter; the ``crash_at``-th write raises.
+
+    A crashing sample append first leaves a torn, newline-less row behind, as
+    a kill in the middle of the write would. Returns the list of written paths.
+    """
+    written = []
+
+    def wrap(name, original):
+        def write(path, *args, **kwargs):
+            written.append(path)
+            if len(written) == crash_at:
+                if name == "append_samples":
+                    with open(path, "a") as f:
+                        f.write("999\t1\t0.5")
+                raise _Crash(f"write {crash_at}: {name} {path}")
+            return original(path, *args, **kwargs)
+
+        return write
+
+    for name, original in writers.items():
+        monkeypatch.setattr(persist, name, wrap(name, original))
+    return written
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_crash_at_any_write_resumes_exactly(tmp_path, monkeypatch, mode):
+    cfg = small_config(mode=mode, preliminary_count=30, iteration_budgets=(15, 10))
+    writers = {name: getattr(persist, name) for name in ("atomic_write_text", "append_samples")}
+    with monkeypatch.context() as m:
+        written = _crashing_writers(m, writers)
+        run_campaign(cfg, tmp_path / "full")
+    total = len(written)
+    assert total > 10
+    for n in range(1, total + 1):
+        run_dir = tmp_path / f"crash{n}"
+        with monkeypatch.context() as m:
+            _crashing_writers(m, writers, crash_at=n)
+            with pytest.raises(_Crash):
+                run_campaign(cfg, run_dir)
+        run_campaign(cfg, run_dir)
+        cmp = filecmp.dircmp(tmp_path / "full", run_dir, ignore=["run.log"])
+        assert not _tree_differs(cmp), f"crash at write {n}"
 
 
 def test_run_campaign_resumes_via_run_dir(tmp_path):

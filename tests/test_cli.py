@@ -45,6 +45,22 @@ def test_run_and_report(tmp_path, config_path, capsys):
     assert "naive-MC equivalent" in capsys.readouterr().out
 
 
+def test_report_leaves_uncommitted_rows_alone(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "r"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    # rows of an iteration that has not committed yet, the last one half written
+    with open(run_dir / "samples.tsv", "a") as f:
+        f.write("998\t3\t0.5\t0.5\t0.5\t0.5\t0.5\t0.5\t0.25\n999\t3\t0.5")
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+    # the next iteration writes its rows after the committed ones
+    assert main(["iterate", "--run-dir", str(run_dir), "--budget", "5"]) == 0
+    ids = [line.split("\t")[0] for line in (run_dir / "samples.tsv").read_text().splitlines()]
+    assert "998" not in ids and "999" not in ids
+    assert len(ids) == len(set(ids))
+
+
 def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
@@ -83,12 +99,28 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         {"evaluator": {**SYNTH, "noise_scale": "abc"}},
         {"evaluator": {**SYNTH, "seed": 1.5}},
         {"evaluator": {**external, "timeout": "abc"}},
+        # unknown evaluator keys, like unknown top-level ones
+        {"evaluator": {"type": "synthetic", "noise": 0.3}},
     ]):
         bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
         run_dir = tmp_path / f"numeric{k}"
         assert main(["run", "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
         assert "configuration error" in capsys.readouterr().err
         assert not (run_dir / "samples.tsv").exists()
+
+
+def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
+    assert main(["init", "--config", str(config_path), "--run-dir", str(tmp_path / "init")]) == 0
+    older = tmp_path / "older"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(older)]) == 0
+    state = json.loads((older / "state.json").read_text())
+    del state["format"]
+    (older / "state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    for name, why in (("missing", "does not exist"), ("init", "no committed"), ("older", "format")):
+        for command in ("iterate", "report"):
+            assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
+            assert why in capsys.readouterr().err
 
 
 def test_compare_mc_baseline(config_path, capsys):

@@ -12,7 +12,7 @@ from adastrat.conditional import (
     observe_p2,
     predict_p2,
 )
-from adastrat.errors import ContractError, DegenerateModelError
+from adastrat.errors import BoundsError, ContractError, DegenerateModelError
 from adastrat.rng import substream
 from adastrat.space import DEFAULT_SPACE, SampleRecord, sample_uniform
 from adastrat.strata import build_strata, degenerate_split
@@ -88,20 +88,16 @@ def test_predict_p2_single_inner_stratum_is_half():
 
 def test_observe_p2_single_stratum_fraction():
     strata = degenerate_split(0.9)
-    samples = [
-        SampleRecord(0, np.zeros(1), j_true=0.95, j_tilde=1.0),
-        SampleRecord(1, np.zeros(1), j_true=0.85, j_tilde=1.0),
-        SampleRecord(2, np.zeros(1), j_true=0.89, j_tilde=1.1),
-        SampleRecord(3, np.zeros(1), j_true=0.80, j_tilde=0.99),
-    ]
-    counts, exceed, p2 = observe_p2(strata, samples, 0.9)
+    j_tilde = np.array([1.0, 1.0, 1.1, 0.99])
+    j_true = np.array([0.95, 0.85, 0.89, 0.80])
+    counts, exceed, p2 = observe_p2(strata, j_tilde, j_true, 0.9)
     assert counts.tolist() == [0, 4]
     assert exceed.tolist() == [0, 1]
     assert np.isnan(p2[0]) and p2[1] == 0.25
 
 
 def test_observe_p2_no_samples():
-    counts, exceed, p2 = observe_p2(build_strata(0.9, 0.01, 10), [], 0.9)
+    counts, exceed, p2 = observe_p2(build_strata(0.9, 0.01, 10), np.array([]), np.array([]), 0.9)
     assert counts.sum() == 0 and exceed.sum() == 0
     assert np.isnan(p2).all()
 
@@ -109,9 +105,9 @@ def test_observe_p2_no_samples():
 def test_observe_p2_contract_errors():
     strata = degenerate_split(0.9)
     with pytest.raises(ContractError, match="objective"):
-        observe_p2(strata, [SampleRecord(5, np.zeros(1), j_tilde=1.0)], 0.9)
-    with pytest.raises(ContractError, match="surrogate"):
-        observe_p2(strata, [SampleRecord(5, np.zeros(1), j_true=1.0)], 0.9)
+        observe_p2(strata, np.array([1.0]), np.array([np.nan]), 0.9)
+    with pytest.raises(BoundsError, match="surrogate"):
+        observe_p2(strata, np.array([np.nan]), np.array([1.0]), 0.9)
 
 
 def test_observe_p2_against_rejection_oracle(calibration):
@@ -140,18 +136,13 @@ def test_observe_p2_against_rejection_oracle(calibration):
             oracle[i] = exceeds[rows].mean()
             campaign[i] = rows[:40]
     assert campaign, "oracle found no well-populated strata"
-    samples = []
-    sid = 0
-    for i, rows in campaign.items():
-        for r in rows:
-            samples.append(SampleRecord(sid, pool[r], j_true=float(j_true[r]), j_tilde=float(j_tilde[r])))
-            sid += 1
-    counts, exceed, p2 = observe_p2(strata, samples, c)
+    rows = np.concatenate(list(campaign.values()))
+    counts, exceed, p2 = observe_p2(strata, j_tilde[rows], j_true[rows], c)
     # the vectorised tally equals a per-sample loop
     tally = np.zeros((2, strata.n_strata), dtype=np.int64)
-    for s in samples:
-        i = np.searchsorted(strata.edges, s.j_tilde, side="right")
-        tally[:, i] += (1, s.j_true > c)
+    for r in rows:
+        i = np.searchsorted(strata.edges, j_tilde[r], side="right")
+        tally[:, i] += (1, j_true[r] > c)
     np.testing.assert_array_equal(tally, [counts, exceed])
     for i, truth in oracle.items():
         assert counts[i] >= 25
@@ -184,11 +175,7 @@ def test_mix_p2_is_convex_combination(obs, pred, count, n_confident):
 
 def test_build_conditional_table_shapes():
     strata = build_strata(0.9, 0.01, 10)
-    samples = [
-        SampleRecord(0, np.zeros(1), j_true=0.95, j_tilde=0.9005),
-        SampleRecord(1, np.zeros(1), j_true=0.80, j_tilde=0.9005),
-    ]
-    table = build_conditional_table(strata, samples, 0.9, 10)
+    table = build_conditional_table(strata, np.array([0.9005, 0.9005]), np.array([0.95, 0.80]), 0.9, 10)
     assert table.counts.sum() == 2
     i = strata.bin_many(0.9005)
     assert table.exceed_counts[i] == 1

@@ -103,9 +103,9 @@ def test_naive_mc_equivalent_domain_errors():
 def test_hard_tail_extrapolation_sides():
     strata = build_strata(0.9, 0.01, 10)
     counts = np.zeros(strata.n_strata, dtype=int)
-    exceed = np.zeros(strata.n_strata, dtype=int)
-    counts[3], exceed[3] = 4, 1
-    p2 = hard_tail_p2(strata, counts, exceed)
+    p2_obs = np.full(strata.n_strata, np.nan)
+    counts[3], p2_obs[3] = 4, 0.25
+    p2 = hard_tail_p2(strata, counts, p2_obs)
     assert p2[3] == 0.25
     assert p2[0] == 0.0 and p2[-1] == 1.0
     mids = strata.midpoints()
@@ -119,8 +119,8 @@ def test_build_estimate_fields_consistent():
     weights = StratumWeights(p1=np.array([0.998, 0.002]), pool_size=1_000_000,
                              variance=np.array([0.998 * 0.002 / 1e6] * 2))
     counts = np.array([50, 20])
-    exceed = np.array([0, 9])
-    est = build_estimate(weights, strata, counts, exceed)
+    p2_obs = np.array([0.0, 9 / 20])
+    est = build_estimate(weights, strata, counts, p2_obs)
     assert est.probability == pytest.approx(0.002 * 0.45)
     assert est.probability == pytest.approx(float(est.contribution.sum()), abs=1e-12)
     assert est.ci95[0] == pytest.approx(est.probability - 2 * np.sqrt(est.unbiased_variance))
@@ -135,7 +135,7 @@ def test_single_stratum_campaign_matches_naive_mc_cost():
     # naive Monte Carlo: the matching-cost sample count is the sample count
     strata = degenerate_split(0.9)
     weights = StratumWeights(p1=np.array([0.0, 1.0]), pool_size=10_000, variance=np.zeros(2))
-    est = build_estimate(weights, strata, np.array([0, 50]), np.array([0, 25]))
+    est = build_estimate(weights, strata, np.array([0, 50]), np.array([np.nan, 0.5]))
     assert est.probability == 0.5
     assert est.biased_variance == pytest.approx(0.5 * 0.5 / 50)
     assert est.mc_equivalent == 50

@@ -4,7 +4,7 @@ import pytest
 from adastrat.errors import FitError
 from adastrat.rng import substream
 from adastrat.space import DEFAULT_SPACE, ParameterDef, ParameterSpace, SampleRecord, sample_uniform
-from adastrat.surrogate import fit, training_residuals
+from adastrat.surrogate import fit
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
 
@@ -52,7 +52,7 @@ def test_residuals_orthogonal_to_design_columns():
     y = 0.3 + us @ np.arange(1.0, 7.0) / 10 + 0.1 * np.sin(7 * us[:, 0])
     samples = records(DEFAULT_SPACE, ws, y)
     model = fit(DEFAULT_SPACE, samples)
-    resid = training_residuals(model, samples)
+    resid = y - model.predict_many(ws)
     design = np.column_stack([np.ones(80), us])
     for j in range(design.shape[1]):
         assert abs(resid @ design[:, j]) <= 1e-8 * 80
@@ -63,7 +63,7 @@ def test_sigma_equals_rms_of_residuals():
     y = 0.2 + 0.4 * DEFAULT_SPACE.normalize_many(ws)[:, 3] ** 2
     samples = records(DEFAULT_SPACE, ws, y)
     model = fit(DEFAULT_SPACE, samples)
-    resid = training_residuals(model, samples)
+    resid = y - model.predict_many(ws)
     assert model.sigma == pytest.approx(float(np.sqrt(np.mean(resid**2))), abs=1e-12)
 
 
