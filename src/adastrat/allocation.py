@@ -11,7 +11,6 @@ variance undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -108,42 +107,27 @@ def allocate(weights: np.ndarray, budget: int) -> np.ndarray:
 
 
 def subtract_existing(
-    target: np.ndarray,
-    existing: np.ndarray,
-    budget: int,
-    weights: Optional[np.ndarray] = None,
+    target: np.ndarray, existing: np.ndarray, budget: int, weights: np.ndarray
 ) -> np.ndarray:
     """New evaluations per stratum after crediting already-evaluated samples.
 
-    Start from max(0, target - existing); any shortfall against the budget is
-    re-apportioned over the non-saturated strata (existing < target),
-    proportional to ``weights`` (the targets themselves when no weights are
-    given). A surplus — possible only if the targets exceed the budget — is
-    removed the same way.
+    Start from max(0, target - existing). ``plan_allocation``'s targets sum to
+    the budget plus the existing samples in weighted strata, so this is never
+    short of the budget; any surplus (strata holding more than their target)
+    is removed from the strata still due samples, in proportion to ``weights``.
     """
     target = np.asarray(target, dtype=np.int64)
     existing = np.asarray(existing, dtype=np.int64)
     if target.shape != existing.shape:
         raise ValueError("target and existing must have equal length")
-    w = np.asarray(weights, dtype=float) if weights is not None else target.astype(float)
     additional = np.maximum(0, target - existing)
-    deficit = budget - int(additional.sum())
-    if deficit > 0:
-        open_w = np.where((w > 0) & (existing < target), w, 0.0)
-        if not open_w.any():
-            raise AllocationError(
-                "every positively-weighted stratum already holds its target sample "
-                "count; nothing left to allocate the remaining budget to"
-            )
-        additional += _hamilton(open_w, deficit)
-    elif deficit < 0:
-        surplus = -deficit
-        reducible = np.where(additional > 0, np.maximum(w, 1e-300), 0.0)
-        while surplus > 0:
-            cut = np.minimum(_hamilton(reducible, surplus), additional)
-            additional -= cut
-            surplus -= int(cut.sum())
-            reducible = np.where(additional > 0, reducible, 0.0)
+    surplus = int(additional.sum()) - budget
+    reducible = np.where(additional > 0, np.maximum(np.asarray(weights, dtype=float), 1e-300), 0.0)
+    while surplus > 0:
+        cut = np.minimum(_hamilton(reducible, surplus), additional)
+        additional -= cut
+        surplus -= int(cut.sum())
+        reducible = np.where(additional > 0, reducible, 0.0)
     return additional
 
 
@@ -189,7 +173,7 @@ def plan_allocation(
     # samples sitting in zero-weight strata are sunk cost, not part of the plan
     plannable = budget + int(existing[weights > 0].sum())
     target = allocate(weights, plannable)
-    additional = subtract_existing(target, existing, budget, weights=weights)
+    additional = subtract_existing(target, existing, budget, weights)
     return AllocationPlan(
         weights=weights,
         target=target,

@@ -42,7 +42,7 @@ STATE_FORMAT = 2
 class RunState:
     """Everything the campaign knows between iterations.
 
-    ``load_state`` restores only the last of ``estimates``.
+    ``load_state`` recomputes only the last of ``estimates``.
     """
 
     config: RunConfig
@@ -64,25 +64,34 @@ class RunState:
         return j_tilde, np.array([s.j_true for s in self.samples])
 
 
-def _fit_and_stratify(state: RunState) -> None:
-    cfg = state.config
-    state.model = fit(cfg.space, state.samples, dof_corrected=cfg.sigma_dof_corrected)
+def _model_and_strata(cfg: RunConfig, samples: list[SampleRecord]) -> tuple[SurrogateModel, StratumSet]:
+    """Fit the surrogate on ``samples`` and lay the strata out around the critical value."""
+    model = fit(cfg.space, samples, dof_corrected=cfg.sigma_dof_corrected)
     try:
-        state.strata = build_strata(
-            cfg.critical_value,
-            state.model.sigma,
-            cfg.inner_strata,
-            halfwidth_sigmas=cfg.band_halfwidth_sigmas,
+        strata = build_strata(
+            cfg.critical_value, model.sigma, cfg.inner_strata, halfwidth_sigmas=cfg.band_halfwidth_sigmas
         )
     except DegenerateModelError:
         # perfect fit: the band collapses, split once at the critical value
-        state.strata = degenerate_split(cfg.critical_value)
+        strata = degenerate_split(cfg.critical_value)
+    return model, strata
+
+
+def _fit_and_stratify(state: RunState) -> None:
+    cfg = state.config
+    state.model, state.strata = _model_and_strata(cfg, state.samples)
     state.weights = estimate_weights(
         state.strata,
         state.model,
         cfg.pool_size,
         substream(cfg.seed, "pool", state.iteration),
     )
+
+
+def _estimate(state: RunState) -> RareEventEstimate:
+    """The stratified estimate from every sample, binned under the current model."""
+    counts, _, p2_obs = observe_p2(state.strata, *state.observations(), state.config.critical_value)
+    return build_estimate(state.weights, state.strata, counts, p2_obs)
 
 
 def _evaluate_new(
@@ -140,7 +149,6 @@ def _persist_iteration(
     d.mkdir(parents=True, exist_ok=True)
     if write_model:
         persist.write_model(d / "model.json", state.model)
-        persist.write_strata(d / "strata.json", state.strata)
         persist.write_weights(d / "weights.tsv", state.strata, state.weights)
     if table is not None:
         persist.write_conditional(d / "conditional.tsv", table)
@@ -190,7 +198,7 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     if state.model is None or state.weights is None:
         raise ConfigError("run_preliminary must complete before iterating")
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+        raise ConfigError(f"budget must be >= 0, got {budget}")
     cfg = state.config
     k = state.iteration + 1
     table: Optional[ConditionalTable] = None
@@ -223,22 +231,25 @@ def run_iteration(state: RunState, budget: int) -> RunState:
             _fit_and_stratify(state)
             refit_happened = True
     state.iteration = k
-    counts, _, p2_obs = observe_p2(state.strata, *state.observations(), cfg.critical_value)
-    est = build_estimate(state.weights, state.strata, counts, p2_obs)
-    state.estimates.append(est)
-    _persist_iteration(state, table, plan, est, write_model=refit_happened)
+    state.estimates.append(_estimate(state))
+    _persist_iteration(state, table, plan, state.estimates[-1], write_model=refit_happened)
     return state
 
 
 def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
-    """Full campaign: preliminary batch plus every configured iteration budget."""
+    """Preliminary batch plus every configured budget; a run dir is resumed under its stored config only."""
     if run_dir is not None and (Path(run_dir) / "state.json").exists():
         state = load_state(Path(run_dir))
+        stored = state.config.to_dict()
+        changed = sorted(k for k, v in config.to_dict().items() if v != stored[k])
+        if changed:
+            raise ConfigError(f"run directory {run_dir} holds a campaign with other {', '.join(changed)}; "
+                              "resume it with its stored config")
     else:
         state = run_preliminary(config, run_dir)
-    for budget in config.iteration_budgets[state.iteration :]:
+    for budget in state.config.iteration_budgets[state.iteration :]:
         run_iteration(state, budget)
-        threshold = config.stop_unbiased_variance_below
+        threshold = state.config.stop_unbiased_variance_below
         if threshold is not None and state.estimates[-1].unbiased_variance < threshold:
             if run_dir is not None:
                 persist.append_log(
@@ -267,16 +278,14 @@ def load_state(run_dir: Path) -> RunState:
     state.iteration = int(doc["iterations_completed"])
     state.next_id = int(doc["next_id"])
     state.samples = persist.read_samples(run_dir / "samples.tsv", config.space.names, int(doc["samples"]))
-    # the latest model/strata/weights live in the newest iteration dir that has them
-    for k in range(state.iteration, -1, -1):
-        d = persist.iter_dir(run_dir, k)
-        if (d / "model.json").exists():
-            state.model = persist.read_model(d / "model.json", config.space)
-            state.strata = persist.read_strata(d / "strata.json")
-            state.weights = persist.read_weights(d / "weights.tsv")
-            break
+    # Only the weights are read back (their pool is costly), from the last refit: the
+    # preliminary one in single mode, in multi mode the newest iteration that added samples
+    # (not a newer weights.tsv an uncommitted attempt left). The rest is recomputed.
+    k = max(s.iteration for s in state.samples) if config.mode == "multi" else 0
+    state.model, state.strata = _model_and_strata(config, [s for s in state.samples if s.iteration <= k])
+    state.weights = persist.read_weights(persist.iter_dir(run_dir, k) / "weights.tsv")
     if state.iteration > 0:
-        state.estimates.append(persist.read_estimate(persist.iter_dir(run_dir, state.iteration)))
+        state.estimates.append(_estimate(state))
     return state
 
 

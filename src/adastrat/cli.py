@@ -4,7 +4,9 @@ Subcommands: ``init`` (validate a config and create the run directory),
 ``run`` (full campaign, resume-aware), ``iterate`` (one more iteration on an
 existing run), ``report`` (recompute and print the estimate), ``compare-mc``
 (naive Monte Carlo baseline on the same evaluator), ``oracle`` (brute-force
-truth for synthetic evaluators).
+truth for synthetic evaluators). ``init``, ``run`` and ``iterate`` hold a
+lock on the run directory, so a second writer is refused; ``report`` only
+reads and takes none.
 
 Exit codes: 0 success, 2 configuration error, 3 evaluator failure threshold,
 4 allocation infeasible.
@@ -12,8 +14,11 @@ Exit codes: 0 success, 2 configuration error, 3 evaluator failure threshold,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -88,40 +93,59 @@ def _load(args) -> "RunConfig":
     )
 
 
+@contextmanager
+def _sole_writer(run_dir: Path, create: bool):
+    """Lock the run directory itself (no lock file enters it); a second writer is refused."""
+    if create:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    elif not run_dir.is_dir():
+        raise ConfigError(f"run directory {run_dir} does not exist")
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"run directory {run_dir} is being written by another process") from None
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def _cmd_init(args) -> int:
-    init_run_dir(_load(args), Path(args.run_dir))
+    config = _load(args)
+    with _sole_writer(args.run_dir, create=True):
+        init_run_dir(config, args.run_dir)
     print(f"initialized run directory {args.run_dir}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    state = run_campaign(config, Path(args.run_dir))
+    with _sole_writer(args.run_dir, create=True):
+        state = run_campaign(config, args.run_dir)
     sys.stdout.write(render_report(final_report(state)))
     return EXIT_OK
 
 
 def _cmd_iterate(args) -> int:
-    state = load_state(Path(args.run_dir))
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budgets = state.config.iteration_budgets
-        if state.iteration >= len(budgets):
-            raise ConfigError(
-                f"all {len(budgets)} configured budgets are consumed; pass --budget explicitly"
-            )
-        budget = budgets[state.iteration]
-    run_iteration(state, budget)
-    report = write_report(state)
-    sys.stdout.write(render_report(report))
-    return EXIT_OK
+    with _sole_writer(args.run_dir, create=False):
+        state = load_state(args.run_dir)
+        if args.budget is not None:
+            budget = args.budget
+        else:
+            budgets = state.config.iteration_budgets
+            if state.iteration >= len(budgets):
+                raise ConfigError(
+                    f"all {len(budgets)} configured budgets are consumed; pass --budget explicitly"
+                )
+            budget = budgets[state.iteration]
+        run_iteration(state, budget)
+        sys.stdout.write(render_report(write_report(state)))
+        return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    state = load_state(Path(args.run_dir))
-    report = final_report(state)
-    sys.stdout.write(render_report(report))
+    sys.stdout.write(render_report(final_report(load_state(args.run_dir))))
     return EXIT_OK
 
 

@@ -2,9 +2,13 @@
 
 ``state.json`` is the commit record, written last at each iteration
 boundary; it counts the committed rows of ``samples.tsv``, the append-only
-table of measured samples. Loading reads only the committed rows and writes
-nothing; the next append cuts off any rows past them. Every other file is
-replaced atomically (a uniquely named temp file, then a rename).
+table of measured samples. A load reads only ``config.json``, ``state.json``,
+the committed rows and the last refit's ``weights.tsv`` (a large pool to
+redo), and recomputes the model, strata and estimate from the samples;
+``model.json``, ``estimate.*``, ``conditional.tsv`` and ``allocation.tsv``
+are outputs only. Loading writes nothing; the next append cuts off any rows
+past the commit. Every other file is replaced atomically (a uniquely named
+temp file, then a rename).
 Tables are tab-separated text; documents are JSON. Floats are serialized
 with shortest round-trip precision, so a reloaded run is bit-identical to
 the run that wrote it. Wall-clock timings never enter these files;
@@ -119,7 +123,7 @@ def read_samples(path: Path, names: Sequence[str], count: int) -> list[SampleRec
     ]
 
 
-# -- model / strata / weights ----------------------------------------------
+# -- model / weights -------------------------------------------------------
 
 def write_model(path: Path, model: SurrogateModel) -> None:
     write_doc(
@@ -137,61 +141,22 @@ def write_model(path: Path, model: SurrogateModel) -> None:
     )
 
 
-def read_model(path: Path, space) -> SurrogateModel:
-    doc = read_doc(path)
-    return SurrogateModel(
-        space=space,
-        intercept=float(doc["intercept"]),
-        coefficients=np.array([float(c) for c in doc["coefficients"]]),
-        sigma=float(doc["sigma"]),
-        training_count=int(doc["training_count"]),
-    )
-
-
-def write_strata(path: Path, strata: StratumSet) -> None:
-    write_doc(
-        path,
-        {
-            "edges": [float(e) for e in strata.edges],
-            "critical_value": strata.critical_value,
-            "sigma": strata.sigma,
-            "inner_count": strata.inner_count,
-        },
-    )
-
-
-def read_strata(path: Path) -> StratumSet:
-    doc = read_doc(path)
-    return StratumSet(
-        edges=np.array([float(e) for e in doc["edges"]]),
-        critical_value=float(doc["critical_value"]),
-        sigma=float(doc["sigma"]),
-        inner_count=int(doc["inner_count"]),
-    )
-
-
 def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> None:
-    header = ["stratum", "lower", "upper", "p1", "variance"]
     rows = [
         [i, strata.lower(i), strata.upper(i), weights.p1[i], weights.variance[i]]
         for i in range(strata.n_strata)
     ]
-    lines = [f"# pool_size\t{weights.pool_size}", "\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_fmt(c) for c in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    head = f"# pool_size\t{weights.pool_size}\nstratum\tlower\tupper\tp1\tvariance\n"
+    atomic_write_text(path, head + "".join(_line(row) for row in rows))
 
 
 def read_weights(path: Path) -> StratumWeights:
+    """The weights alone; the ``lower``/``upper`` edges are for the reader."""
     lines = path.read_text().splitlines()
-    pool_size = int(lines[0].split("\t")[1])
-    p1 = []
-    var = []
-    for line in lines[2:]:
-        cells = line.split("\t")
-        p1.append(float(cells[3]))
-        var.append(float(cells[4]))
-    return StratumWeights(p1=np.array(p1), pool_size=pool_size, variance=np.array(var))
+    rows = [line.split("\t") for line in lines[2:]]
+    p1 = np.array([float(r[3]) for r in rows])
+    variance = np.array([float(r[4]) for r in rows])
+    return StratumWeights(p1=p1, pool_size=int(lines[0].split("\t")[1]), variance=variance)
 
 
 # -- per-iteration tables ----------------------------------------------------
@@ -232,26 +197,6 @@ def write_estimate(dir_path: Path, strata: StratumSet, est: RareEventEstimate) -
         for i in range(strata.n_strata)
     ]
     write_table(dir_path / "estimate.tsv", header, rows)
-
-
-def read_estimate(dir_path: Path) -> RareEventEstimate:
-    doc = read_doc(dir_path / "estimate.json")
-    _, rows = read_table(dir_path / "estimate.tsv")
-    p1 = np.array([float(r[3]) for r in rows])
-    p2 = np.array([float(r[4]) for r in rows])
-    counts = np.array([int(r[5]) for r in rows], dtype=np.int64)
-    return RareEventEstimate(
-        probability=float(doc["probability"]),
-        biased_variance=float(doc["biased_variance"]),
-        unbiased_variance=float(doc["unbiased_variance"]),
-        ci95=(float(doc["ci95"][0]), float(doc["ci95"][1])),
-        mc_equivalent=None if doc["mc_equivalent"] is None else int(doc["mc_equivalent"]),
-        p1_standard_error=float(doc["p1_standard_error"]),
-        p1=p1,
-        p2=p2,
-        counts=counts,
-        contribution=p1 * p2,
-    )
 
 
 def append_log(run_dir: Path, message: str) -> None:

@@ -121,18 +121,39 @@ def test_allocation_near_optimal_against_brute_force():
 
 
 def test_subtract_existing_examples():
+    # targets as plan_allocation draws them: over the budget plus the existing
+    # samples in weighted strata
+    weights = np.array([1.0, 1.0, 1.0])
     np.testing.assert_array_equal(
-        subtract_existing(np.array([4, 3, 3]), np.zeros(3, dtype=int), 10), [4, 3, 3]
+        subtract_existing(allocate(weights, 10), np.zeros(3, dtype=int), 10, weights), [4, 3, 3]
     )
-    np.testing.assert_array_equal(
-        subtract_existing(np.array([5, 5]), np.array([5, 0]), 10, weights=np.array([1.0, 1.0])),
-        [0, 10],
-    )
+    weights = np.array([1.0, 1.0])
+    target = allocate(weights, 10 + 5)
+    np.testing.assert_array_equal(target, [8, 7])
+    np.testing.assert_array_equal(subtract_existing(target, np.array([5, 0]), 10, weights), [3, 7])
+    # a stratum already past its target yields its credit to the others
+    target = allocate(weights, 4 + 9)
+    np.testing.assert_array_equal(subtract_existing(target, np.array([9, 0]), 4, weights), [0, 4])
 
 
-def test_subtract_existing_saturation_error():
-    with pytest.raises(AllocationError, match="target"):
-        subtract_existing(np.array([5, 5]), np.array([6, 7]), 4, weights=np.array([1.0, 1.0]))
+@given(
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 20)), min_size=1, max_size=8),
+    st.integers(0, 40),
+    st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_plan_allocation_spends_exactly_the_budget(strata, budget, prune_share):
+    p1, p2, existing = (np.array(column) for column in zip(*strata))
+    if p1.sum() == 0:
+        return
+    p1 = p1 / p1.sum()
+    hits = np.rint(p1 * 1e6).astype(int)
+    try:
+        plan = plan_allocation(p1, hits, p2, existing, budget, min_pool_hits=10, prune_share=prune_share)
+    except AllocationError as exc:  # pruning left no weighted stratum
+        assert budget > 0 and "weights are zero" in str(exc)
+        return
+    assert (plan.additional >= 0).all()
+    assert plan.additional.sum() == budget
 
 
 def test_subtract_existing_trims_overshoot():

@@ -1,11 +1,13 @@
 import filecmp
+import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adastrat import persist
+from adastrat import campaign, persist
 from adastrat.campaign import (
     final_report,
     load_state,
@@ -16,6 +18,7 @@ from adastrat.campaign import (
 )
 from adastrat.config import RunConfig, config_from_dict
 from adastrat.errors import ConfigError, EvaluationThresholdError
+from adastrat.evaluators import BatchOutcome, EvaluationFailure
 from adastrat.persist import read_table
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -150,6 +153,54 @@ def test_interrupted_campaign_resumes_exactly(tmp_path):
     assert not _tree_differs(cmp)
 
 
+def _bits(value):
+    return (value.dtype.str, value.tobytes()) if isinstance(value, np.ndarray) else repr(value)
+
+
+def _assert_loads_as_in_memory(run_dir, live):
+    loaded = load_state(run_dir)
+    m, n = loaded.model, live.model
+    assert repr((m.intercept, m.sigma, m.training_count)) == repr((n.intercept, n.sigma, n.training_count))
+    assert _bits(m.coefficients) == _bits(n.coefficients)
+    a, b = loaded.strata, live.strata
+    assert (_bits(a.edges), repr(a.sigma), a.inner_count) == (_bits(b.edges), repr(b.sigma), b.inner_count)
+    assert _bits(loaded.weights.p1) == _bits(live.weights.p1)
+    assert len(loaded.estimates) == min(len(live.estimates), 1)
+    if live.estimates:
+        for f in fields(live.estimates[-1]):
+            assert _bits(getattr(loaded.estimates[-1], f.name)) == _bits(getattr(live.estimates[-1], f.name)), f.name
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_load_state_recomputes_the_in_memory_state(tmp_path, mode):
+    # budget 0 does not refit, so the newest weights are an iteration behind
+    cfg = small_config(mode=mode, iteration_budgets=(15, 0, 10))
+    state = run_preliminary(cfg, tmp_path / "r")
+    _assert_loads_as_in_memory(tmp_path / "r", state)
+    for budget in cfg.iteration_budgets:
+        run_iteration(state, budget)
+        _assert_loads_as_in_memory(tmp_path / "r", state)
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_samples_and_weights_alone_resume_exactly(tmp_path, mode):
+    cfg = small_config(mode=mode)
+    run_campaign(cfg, tmp_path / "intact")
+    shutil.copytree(tmp_path / "intact", tmp_path / "bare")
+    kept = {"config.json", "state.json", "samples.tsv", "weights.tsv"}
+    for path in (tmp_path / "bare").rglob("*"):
+        if path.is_file() and path.name not in kept:
+            path.unlink()
+    for name in ("intact", "bare"):
+        state = load_state(tmp_path / name)
+        run_iteration(state, 5)
+        write_report(state)
+    written = [p for p in (tmp_path / "bare").rglob("*") if p.is_file()]
+    assert {p.name for p in written} - kept  # the new iteration's outputs
+    for path in written:
+        assert path.read_bytes() == (tmp_path / "intact" / path.relative_to(tmp_path / "bare")).read_bytes(), path
+
+
 class _Crash(Exception):
     """The kill injected at one write point of a campaign."""
 
@@ -197,6 +248,23 @@ def test_crash_at_any_write_resumes_exactly(tmp_path, monkeypatch, mode):
         run_campaign(cfg, run_dir)
         cmp = filecmp.dircmp(tmp_path / "full", run_dir, ignore=["run.log"])
         assert not _tree_differs(cmp), f"crash at write {n}"
+
+
+def test_refit_of_an_uncommitted_attempt_is_not_loaded(tmp_path, monkeypatch):
+    # a first attempt at iteration 1 refits and writes iter_001/weights.tsv, then dies
+    # before its commit; the retry's evaluations all fail, so it commits without a refit
+    state = run_preliminary(small_config(), tmp_path / "r")
+    with monkeypatch.context() as m:
+        _crashing_writers(m, {"atomic_write_text": persist.atomic_write_text}, crash_at=7)  # state.json
+        with pytest.raises(_Crash, match="state.json"):
+            run_iteration(state, 20)
+    state = load_state(tmp_path / "r")
+    with monkeypatch.context() as m:
+        m.setattr(campaign, "evaluate_batch", lambda evaluator, requests, **kw: BatchOutcome(
+            [], [EvaluationFailure(r.id, "solver crashed") for r in requests]))
+        run_iteration(state, 20)
+    assert (tmp_path / "r" / "iter_001" / "weights.tsv").exists()
+    _assert_loads_as_in_memory(tmp_path / "r", state)
 
 
 def test_run_campaign_resumes_via_run_dir(tmp_path):

@@ -1,10 +1,14 @@
+import fcntl
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from adastrat.campaign import run_preliminary
 from adastrat.cli import main
+from adastrat.config import load_config
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
@@ -61,11 +65,19 @@ def test_report_leaves_uncommitted_rows_alone(tmp_path, config_path, capsys):
     assert len(ids) == len(set(ids))
 
 
+def _tree(run_dir):
+    return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
 def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
     capsys.readouterr()
+    before = _tree(run_dir)
     assert main(["iterate", "--run-dir", str(run_dir)]) == 2  # budgets exhausted
+    assert main(["iterate", "--run-dir", str(run_dir), "--budget", "-1"]) == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
+    assert _tree(run_dir) == before
     assert main(["iterate", "--run-dir", str(run_dir), "--budget", "5"]) == 0
     report = json.loads((run_dir / "report.json").read_text())
     assert report["total_evaluations"] == 30 + 15 + 10 + 5
@@ -121,6 +133,40 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err
+
+
+def test_resume_with_another_config_is_exit_code_2(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "r"
+    run_preliminary(load_config(config_path), run_dir)  # a campaign stopped after its first commit
+    before = _tree(run_dir)
+    for flags in (["--seed", "99"], ["--mode", "single"], ["--seed", "99", "--mode", "single"]):
+        assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir), *flags]) == 2, flags
+        assert "stored config" in capsys.readouterr().err
+        assert _tree(run_dir) == before
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    assert json.loads((run_dir / "report.json").read_text())["iterations"] == 2
+
+
+def test_second_writer_is_exit_code_2(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "r"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    before = _tree(run_dir)
+    fd = os.open(run_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the first writer, still at work
+        for argv in (
+            ["iterate", "--run-dir", str(run_dir), "--budget", "5"],
+            ["run", "--config", str(config_path), "--run-dir", str(run_dir)],
+            ["init", "--config", str(config_path), "--run-dir", str(run_dir)],
+        ):
+            assert main(argv) == 2, argv[0]
+            assert f"run directory {run_dir} is being written" in capsys.readouterr().err
+        assert main(["report", "--run-dir", str(run_dir)]) == 0  # readers take no lock
+        assert _tree(run_dir) == before
+    finally:
+        os.close(fd)
+    assert main(["iterate", "--run-dir", str(run_dir), "--budget", "5"]) == 0
 
 
 def test_compare_mc_baseline(config_path, capsys):
