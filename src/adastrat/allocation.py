@@ -163,12 +163,15 @@ def plan_allocation(
     Strata whose occupancy estimate rests on fewer than ``min_pool_hits``
     pool draws are dropped from the plan (their weight is unreliable and a
     candidate search there may never terminate), as are strata holding less
-    than ``prune_share`` of the total weight.
+    than ``prune_share`` of the total weight, except the largest one: a share
+    above 1/n of n near-equal strata would otherwise prune them all.
     """
     weights = optimal_weights(p1, p2)
     weights[np.asarray(pool_hits) < min_pool_hits] = 0.0
     if prune_share > 0.0 and weights.any():
-        weights[weights < prune_share * weights.sum()] = 0.0
+        pruned = weights < prune_share * weights.sum()
+        pruned[np.argmax(weights)] = False
+        weights[pruned] = 0.0
     existing = np.asarray(existing, dtype=np.int64)
     # samples sitting in zero-weight strata are sunk cost, not part of the plan
     plannable = budget + int(existing[weights > 0].sum())

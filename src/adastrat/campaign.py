@@ -80,12 +80,8 @@ def _model_and_strata(cfg: RunConfig, samples: list[SampleRecord]) -> tuple[Surr
 def _fit_and_stratify(state: RunState) -> None:
     cfg = state.config
     state.model, state.strata = _model_and_strata(cfg, state.samples)
-    state.weights = estimate_weights(
-        state.strata,
-        state.model,
-        cfg.pool_size,
-        substream(cfg.seed, "pool", state.iteration),
-    )
+    rng = substream(cfg.seed, "pool", state.iteration)
+    state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, rng)
 
 
 def _estimate(state: RunState) -> RareEventEstimate:
@@ -102,36 +98,29 @@ def _evaluate_new(
 ) -> list[SampleRecord]:
     """Run the expensive evaluator on new points and append the survivors."""
     cfg = state.config
-    requests = []
-    for w in params:
-        requests.append(EvaluationRequest(id=state.next_id, params=np.asarray(w, dtype=float)))
-        state.next_id += 1
+    requests = [
+        EvaluationRequest(id=state.next_id + i, params=np.asarray(w, dtype=float)) for i, w in enumerate(params)
+    ]
+    state.next_id += len(requests)
     outcome = evaluate_batch(
         build_evaluator(cfg),
         requests,
         parallelism=cfg.parallelism,
         run_dir=None if state.run_dir is None else str(state.run_dir),
     )
-    if outcome.failures and state.run_dir is not None:
+    if state.run_dir is not None:
         for f in outcome.failures:
             persist.append_log(state.run_dir, f"evaluation {f.id} failed: {f.reason}")
-    if abort_fraction is not None and len(requests) > 0:
-        if len(outcome.failures) > abort_fraction * len(requests):
-            raise EvaluationThresholdError(
-                f"{len(outcome.failures)} of {len(requests)} evaluations failed "
-                f"(threshold {abort_fraction:.0%})"
-            )
-    by_id = {r.id: r for r in requests}
-    new_records = []
-    for res in outcome.results:
-        rec = SampleRecord(
-            id=res.id,
-            params=by_id[res.id].params,
-            iteration=iteration,
-            j_true=res.objective,
+    if abort_fraction is not None and len(outcome.failures) > abort_fraction * len(requests):
+        raise EvaluationThresholdError(
+            f"{len(outcome.failures)} of {len(requests)} evaluations failed (threshold {abort_fraction:.0%})"
         )
-        state.samples.append(rec)
-        new_records.append(rec)
+    by_id = {r.id: r for r in requests}
+    new_records = [
+        SampleRecord(id=res.id, params=by_id[res.id].params, iteration=iteration, j_true=res.objective)
+        for res in outcome.results
+    ]
+    state.samples.extend(new_records)
     return new_records
 
 
@@ -150,6 +139,9 @@ def _persist_iteration(
     if write_model:
         persist.write_model(d / "model.json", state.model)
         persist.write_weights(d / "weights.tsv", state.strata, state.weights)
+    else:  # a refit by an attempt that died before its commit describes no committed sample
+        (d / "model.json").unlink(missing_ok=True)
+        (d / "weights.tsv").unlink(missing_ok=True)
     if table is not None:
         persist.write_conditional(d / "conditional.tsv", table)
     if plan is not None:
@@ -205,24 +197,14 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     plan: Optional[AllocationPlan] = None
     refit_happened = False
     if budget > 0:
-        table = build_conditional_table(
-            state.strata, *state.observations(), cfg.critical_value, cfg.n_confident
-        )
+        table = build_conditional_table(state.strata, *state.observations(), cfg.critical_value, cfg.n_confident)
         p2_for_allocation = table.p2_pred if cfg.mode == "single" else table.p2_mix
         plan = plan_allocation(
-            state.weights.p1,
-            state.weights.hits(),
-            p2_for_allocation,
-            table.counts,
-            budget,
-            min_pool_hits=cfg.min_pool_hits,
-            prune_share=cfg.allocation_prune_share,
+            state.weights.p1, state.weights.hits(), p2_for_allocation, table.counts, budget,
+            min_pool_hits=cfg.min_pool_hits, prune_share=cfg.allocation_prune_share,
         )
         candidates = select_candidates(
-            state.strata,
-            state.model,
-            plan.additional,
-            substream(cfg.seed, "candidates", k),
+            state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k),
             per_stratum_cap=cfg.per_stratum_cap,
         )
         new_records = _evaluate_new(state, [w for _, w in candidates], iteration=k)

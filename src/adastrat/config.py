@@ -222,13 +222,7 @@ def with_overrides(
     evaluator_kind: Optional[str] = None,
 ) -> RunConfig:
     """CLI-flag overrides applied on top of the loaded config."""
-    updates: dict[str, Any] = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if parallelism is not None:
-        updates["parallelism"] = parallelism
-    if mode is not None:
-        updates["mode"] = mode
+    updates = {k: v for k, v in dict(seed=seed, parallelism=parallelism, mode=mode).items() if v is not None}
     if evaluator_kind is not None:
         ev = dict(config.evaluator)
         if ev.get("type") != "synthetic":

@@ -13,9 +13,10 @@ import json
 import os
 import select
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -178,7 +179,7 @@ class ExternalEvaluator:
         self.timeout = float(timeout)
         self.space = space
 
-    def _spawn(self, run_dir: Optional[str]) -> subprocess.Popen:
+    def _spawn(self, run_dir: Optional[str], stderr: BinaryIO) -> subprocess.Popen:
         env = dict(os.environ)
         if run_dir is not None:
             env[RUN_DIR_ENV] = str(run_dir)
@@ -186,7 +187,7 @@ class ExternalEvaluator:
             self.command,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=stderr,
             env=env,
         )
 
@@ -239,12 +240,16 @@ class ExternalEvaluator:
         failures: list[EvaluationFailure] = []
         names = self.space.names
         proc: Optional[subprocess.Popen] = None
+        stderr: Optional[BinaryIO] = None
         try:
             for req in requests:
                 started = time.monotonic()
                 try:
                     if proc is None or proc.poll() is not None:
-                        proc = self._spawn(run_dir)
+                        if stderr is not None:
+                            stderr.close()
+                        stderr = tempfile.TemporaryFile()  # each child's own, unnamed
+                        proc = self._spawn(run_dir, stderr)
                     payload = {
                         "id": int(req.id),
                         "params": {name: float(v) for name, v in zip(names, req.params)},
@@ -266,11 +271,13 @@ class ExternalEvaluator:
                         )
                     )
                 except (TimeoutError, EOFError, IOError, OSError, ValueError, KeyError) as exc:
-                    failures.append(EvaluationFailure(id=req.id, reason=f"{type(exc).__name__}: {exc}"))
+                    reason = f"{type(exc).__name__}: {exc}"
                     if proc is not None:
                         proc.kill()
                         proc.wait()
+                        reason += _stderr_tail(stderr)
                         proc = None
+                    failures.append(EvaluationFailure(id=req.id, reason=reason))
         finally:
             if proc is not None:
                 if proc.stdin:
@@ -280,7 +287,16 @@ class ExternalEvaluator:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
+            if stderr is not None:
+                stderr.close()
         return results, failures
+
+
+def _stderr_tail(stderr: BinaryIO) -> str:
+    """The last 2 KiB a finished child wrote to stderr, as a failure-reason suffix."""
+    stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 2048))
+    text = stderr.read().decode("utf-8", errors="replace").strip()
+    return f"; solver stderr: {text}" if text else ""
 
 
 def evaluate_batch(

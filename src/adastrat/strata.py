@@ -3,10 +3,14 @@
 The working layout is a band of equal-width bins centered on the critical
 value (halfwidth a fixed multiple of the surrogate residual scale), plus two
 unbounded tail strata. Interior bins are left-closed/right-open; a value
-exactly on an edge belongs to the higher bin.
+exactly on an edge belongs to the higher bin. Only ``build_strata`` and
+``degenerate_split`` construct a ``StratumSet``, so its edges are always
+equal-width to within a small fraction of a bin, the invariant
+``StratumSet.bin_many`` relies on.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,16 +18,17 @@ import numpy as np
 from .errors import BoundsError, DegenerateModelError
 from .surrogate import SurrogateModel
 
-# Rows per pool batch (3 MiB at d = 6). At d = 6 this keeps the batch matmul
-# under OpenBLAS's threading threshold (between 420 000 and 480 000 elements
-# with numpy 2.4's OpenBLAS 0.3.31): above it, a BLAS worker spins on another
-# core for about 0.1 s after each call, which on a 2-core host takes the core
-# from the helper thread, and from the evaluations that follow the pool.
-_POOL_BATCH = 1 << 16
-# Pools of at most this many batches are drawn and binned on the caller's
-# thread: below about 2**20 rows, waking a helper thread costs more than it
-# overlaps. Larger pools draw the next batch on a helper thread.
-_SERIAL_BATCHES = 16
+# Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
+# keeps the batch matmul under OpenBLAS's threading threshold (between 420 000
+# and 480 000 elements with OpenBLAS 0.3.31), above which a BLAS worker spins
+# on the other core for about 0.1 s after each call. At 2**16 rows the two
+# pool threads' concurrent temporaries raised peak RSS by 3.4 MB; 2**14 and
+# 2**16 ran within 5% of 2**15 on time, 2**12 ran 60% slower.
+_POOL_BATCH = 1 << 15
+# Pools of at most this many batches (2**20 rows) are drawn and binned on the
+# caller's thread through ``rng`` itself: below that, a helper thread costs
+# more than it overlaps.
+_SERIAL_BATCHES = 32
 
 
 @dataclass(frozen=True)
@@ -40,11 +45,25 @@ class StratumSet:
         return self.edges.size + 1
 
     def bin_many(self, j_tildes: np.ndarray) -> np.ndarray:
-        """Index of the unique stratum containing each surrogate value."""
-        j_tildes = np.asarray(j_tildes, dtype=float)
-        if np.isnan(j_tildes).any():
+        """Index of the unique stratum containing each surrogate value.
+
+        Equal to ``np.searchsorted(self.edges, j_tildes, side="right")``, by the
+        guess-and-correct scheme ``numpy.histogram`` uses for uniform bins: the
+        bin is guessed from the equal-width layout, which is off by at most
+        one bin, then corrected by one step against the stored edges. -inf
+        maps to stratum 0 and +inf to the last one; NaN raises ``BoundsError``.
+        """
+        x = np.asarray(j_tildes, dtype=float)
+        if np.isnan(x).any():
             raise BoundsError("cannot bin NaN surrogate values")
-        return np.searchsorted(self.edges, j_tildes, side="right")
+        edges, n = self.edges, self.edges.size
+        scale = (n - 1) / (edges[-1] - edges[0]) if n > 1 else 1.0
+        with np.errstate(over="ignore"):  # a far-tail value may overflow; it is clipped
+            idx = np.clip(np.floor((x - edges[0]) * scale + 1.0), 0, n).astype(np.intp)
+        # bounds[i] is the lower bound of stratum i; x >= NaN is never true, so
+        # nothing moves past the last stratum, +inf included
+        bounds = np.concatenate(([-np.inf], edges, [np.nan]))
+        return idx - (x < bounds[idx]) + (x >= bounds[1:][idx])
 
     def lower(self, i: int) -> float:
         return -np.inf if i == 0 else float(self.edges[i - 1])
@@ -71,7 +90,10 @@ def build_strata(
 
     Edges are generated symmetrically about the critical value so that, for an
     even bin count, the critical value is itself an edge (exactly, not to
-    rounding). Total strata = inner_count + 2 once the tails are added.
+    rounding). Total strata = inner_count + 2 once the tails are added. Bins
+    of at most 2**-44 of the largest edge (256 ulps) are refused: the edges'
+    rounding then stays well under a bin, so ``bin_many``'s guess is exact
+    to within one bin.
     """
     if sigma <= 1e-12 * max(1.0, abs(critical_value)):
         raise DegenerateModelError(
@@ -83,13 +105,10 @@ def build_strata(
     if halfwidth_sigmas <= 0.0:
         raise ValueError(f"halfwidth_sigmas must be positive, got {halfwidth_sigmas}")
     width = 2.0 * halfwidth_sigmas * sigma / inner_count
-    offsets = np.arange(inner_count + 1) - inner_count / 2.0
-    return StratumSet(
-        edges=critical_value + offsets * width,
-        critical_value=critical_value,
-        sigma=sigma,
-        inner_count=inner_count,
-    )
+    edges = critical_value + (np.arange(inner_count + 1) - inner_count / 2.0) * width
+    if width <= 2.0**-44 * np.abs(edges).max():
+        raise DegenerateModelError(f"bins of width {width!r} around {critical_value!r} are too narrow for floats")
+    return StratumSet(edges=edges, critical_value=critical_value, sigma=sigma, inner_count=inner_count)
 
 
 def degenerate_split(critical_value: float) -> StratumSet:
@@ -128,41 +147,47 @@ def estimate_weights(
 ) -> StratumWeights:
     """Estimate stratum weights from a streamed pool of cheap surrogate draws.
 
-    The pool is drawn into at most two batch buffers that are allocated once
-    and overwritten, so memory stays at two batches (6 MiB at d = 6) whatever
-    the pool size. In pools of more than ``_SERIAL_BATCHES`` batches one helper
-    thread draws the next batch while the caller's thread bins the current
-    one. Only one thread draws from ``rng``, batch after batch, so the counts
-    are exact integers, identical to a serial loop for a given generator
-    state, and ``rng`` ends as it would after ``rng.random((pool_size, d))``.
+    The pool is the rows of ``rng.random((pool_size, d))``, drawn and binned
+    in ``_POOL_BATCH``-row batches into one reused buffer per thread. A pool
+    of more than ``_SERIAL_BATCHES`` batches is split between the caller and
+    one helper thread, which each draw *and* bin every other batch, so both
+    the draw and the binning run on two cores. The caller draws the even
+    batches through ``rng``, advancing it past each odd one; the helper draws
+    the odd ones from a PCG64 copy positioned with ``advance``. Each double
+    takes exactly one PCG64 output and integer counts add in any order, so
+    the counts equal a serial loop's and ``rng`` ends as it would after
+    ``rng.random((pool_size, d))``. Smaller pools, other generators and a
+    PCG64 holding a buffered 32-bit half-output (which ``advance`` would
+    drop) are drawn through ``rng`` on the caller's thread.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    counts = np.zeros(strata.n_strata, dtype=np.int64)
     n_batches = -(-pool_size // _POOL_BATCH)
-    rows = min(_POOL_BATCH, pool_size)
-    serial = n_batches <= _SERIAL_BATCHES
-    buffers = [np.empty((rows, model.space.dim)) for _ in range(1 if serial else 2)]
+    dim = model.space.dim
 
-    def draw(k: int) -> np.ndarray:
-        m = min(_POOL_BATCH, pool_size - k * _POOL_BATCH)
-        return rng.random(out=buffers[k % len(buffers)][:m])
+    def rows(k: int) -> int:
+        return min(_POOL_BATCH, pool_size - k * _POOL_BATCH)
 
-    def binned(us: np.ndarray) -> np.ndarray:
-        return np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+    def count(generator: np.random.Generator, first: int, step: int) -> np.ndarray:
+        """Draw and bin batches first, first + step, ...; with step 2, advance past the others."""
+        counts = np.zeros(strata.n_strata, dtype=np.int64)
+        buffer = np.empty((rows(0), dim))
+        for k in range(first, n_batches, step):
+            us = generator.random(out=buffer[: rows(k)])
+            counts += np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+            if step == 2 and k + 1 < n_batches:
+                generator.bit_generator.advance(rows(k + 1) * dim)
+        return counts
 
-    if serial:
-        for k in range(n_batches):
-            counts += binned(draw(k))
+    bits = rng.bit_generator
+    if n_batches <= _SERIAL_BATCHES or type(bits) is not np.random.PCG64 or bits.state["has_uint32"]:
+        counts = count(rng, 0, 1)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        odd = np.random.Generator(copy.deepcopy(bits).advance(rows(0) * dim))
         with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(draw, 0)
-            for k in range(n_batches):
-                us = pending.result()
-                if k + 1 < n_batches:
-                    pending = helper.submit(draw, k + 1)
-                counts += binned(us)
+            pending = helper.submit(count, odd, 1, 2)
+            counts = count(rng, 0, 2) + pending.result()
     p1 = counts / pool_size
     return StratumWeights(p1=p1, pool_size=pool_size, variance=p1 * (1.0 - p1) / pool_size)

@@ -6,6 +6,7 @@ Mode comes from argv[1]:
   crash     - exit abruptly on the second request
   hang      - never reply to ids divisible by 2
   wrong-id  - reply with a mismatched id for ids divisible by 5
+  stderr    - on the second request, write 3000 bytes and a last line to stderr and exit
 Other requests are answered with objective = sum of the parameter values.
 """
 import json
@@ -24,6 +25,9 @@ for line in sys.stdin:
         print("not json at all", flush=True)
         continue
     if mode == "crash" and seen == 2:
+        sys.exit(13)
+    if mode == "stderr" and seen == 2:
+        sys.stderr.write("x" * 3000 + f"\nsolver died on request {rid}\n")
         sys.exit(13)
     if mode == "hang" and rid % 2 == 0:
         time.sleep(3600)

@@ -156,6 +156,18 @@ def test_plan_allocation_spends_exactly_the_budget(strata, budget, prune_share):
     assert plan.additional.sum() == budget
 
 
+def test_pruning_keeps_the_largest_stratum():
+    # a share above 1/n of n equal strata prunes every one of them but the largest
+    hits, existing = np.full(4, 250_000), np.zeros(4, int)
+    plan = plan_allocation(np.full(4, 0.25), hits, np.full(4, 0.5), existing, 1, prune_share=0.3)
+    assert plan.additional.sum() == 1
+    np.testing.assert_array_equal(plan.weights > 0, [True, False, False, False])
+    # where the share alone leaves strata standing, it decides
+    p1 = np.array([0.1, 0.2, 0.3, 0.4])
+    plan = plan_allocation(p1, hits, np.full(4, 0.5), existing, 10, prune_share=0.25)
+    np.testing.assert_array_equal(plan.weights > 0, [False, False, True, True])
+
+
 def test_subtract_existing_trims_overshoot():
     # targets drawn for the whole campaign exceed the fresh budget once
     # existing samples are credited; the result still sums to the budget

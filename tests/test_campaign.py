@@ -263,7 +263,7 @@ def test_refit_of_an_uncommitted_attempt_is_not_loaded(tmp_path, monkeypatch):
         m.setattr(campaign, "evaluate_batch", lambda evaluator, requests, **kw: BatchOutcome(
             [], [EvaluationFailure(r.id, "solver crashed") for r in requests]))
         run_iteration(state, 20)
-    assert (tmp_path / "r" / "iter_001" / "weights.tsv").exists()
+    assert not any((tmp_path / "r" / "iter_001" / name).exists() for name in ("model.json", "weights.tsv"))
     _assert_loads_as_in_memory(tmp_path / "r", state)
 
 

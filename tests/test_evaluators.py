@@ -126,6 +126,22 @@ def test_external_crash_restarts_and_continues():
     assert len(out.results) + len(out.failures) == 6
 
 
+def test_external_failure_reason_carries_the_stderr_tail():
+    ws = sample_uniform(DEFAULT_SPACE, substream(7, "stderr"), 4)
+    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
+    out = evaluate_batch(_external("stderr"), reqs, parallelism=1)
+    # each child answers one request and dies on the next: requests 1 and 3 fail
+    assert [f.id for f in out.failures] == [1, 3]
+    for f in out.failures:
+        head, _, tail = f.reason.partition("; solver stderr: ")
+        assert head == "EOFError: evaluator closed its output stream"
+        assert tail.endswith(f"solver died on request {f.id}")
+        assert len(tail.encode()) <= 2048 and tail.startswith("x")
+    # a child that wrote nothing to stderr adds nothing
+    out = evaluate_batch(_external("garbage"), reqs[:1], parallelism=1)
+    assert out.failures[0].reason == "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
+
+
 def test_external_timeout_reported_per_request():
     ws = sample_uniform(DEFAULT_SPACE, substream(8, "hang"), 3)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]

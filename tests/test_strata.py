@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from adastrat import strata as strata_module
 from adastrat.errors import BoundsError, DegenerateModelError
@@ -88,6 +88,50 @@ def test_bin_total_and_single_valued(c, sigma, inner):
         assert s.lower(i) <= x < s.upper(i) or (i == 0 and x < s.upper(0))
 
 
+FAR = np.array([-np.inf, -1.7e308, -1e300, -1e30, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e30, 1e300, 1.7e308, np.inf])
+
+
+def _assert_bins_like_searchsorted(s):
+    # the oracle: every edge, one ulp either side of it, a sweep across the band, far tails
+    e = s.edges
+    width = e[-1] - e[0] if e.size > 1 else 1.0
+    xs = np.concatenate([
+        e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+        np.linspace(e[0] - width, e[-1] + width, 1001), e[0] + FAR, FAR,
+    ])
+    np.testing.assert_array_equal(s.bin_many(xs), np.searchsorted(e, xs, side="right"))
+
+
+@given(st.floats(-1e9, 1e9), st.floats(-14.0, 4.0), st.floats(1e-3, 1e3), st.integers(1, 300))
+def test_bin_many_equals_searchsorted(critical, log_sigma, halfwidth, inner):
+    try:
+        s = build_strata(critical, 10.0**log_sigma, inner, halfwidth_sigmas=halfwidth)
+    except DegenerateModelError:
+        assume(False)
+    _assert_bins_like_searchsorted(s)
+
+
+@given(st.floats(-1e300, 1e300))
+def test_degenerate_split_bins_like_searchsorted(critical):
+    _assert_bins_like_searchsorted(degenerate_split(critical))
+
+
+def _band(critical, inner, width):
+    # halfwidth inner/256 sigma keeps sigma = 128 * width clear of the residual-scale refusal
+    halfwidth = inner / 256
+    return build_strata(critical, width * inner / (2 * halfwidth), inner, halfwidth_sigmas=halfwidth)
+
+
+@pytest.mark.parametrize("critical", [1.0, -3e5, 0.9, 1e-300])
+@pytest.mark.parametrize("inner", [1, 2, 3, 299, 300])
+def test_narrowest_accepted_band_bins_exactly(critical, inner):
+    # bins twice the refusal threshold of 2**-44 of the largest edge
+    _assert_bins_like_searchsorted(_band(critical, inner, 2.0**-43 * max(abs(critical), 1.0)))
+    if abs(critical) >= 0.5:
+        with pytest.raises(DegenerateModelError, match="too narrow"):
+            _band(critical, inner, 2.0**-46 * abs(critical))
+
+
 def test_estimate_weights_everything_in_middle_for_huge_sigma():
     s = build_strata(0.5, 100.0, 1)
     w = estimate_weights(s, IDENTITY, 10_000, substream(2, "mid"))
@@ -135,17 +179,28 @@ def test_weight_variance_formula_matches_empirical():
 
 
 def _serial_pool_counts(strata, model, pool_size, rng, batch=1 << 20):
-    """Reference pool: draw a batch, bin it, count it, on one thread."""
+    """Reference pool: draw a batch, bin it by searchsorted, count it, on one thread."""
     counts = np.zeros(strata.n_strata, dtype=np.int64)
     for start in range(0, pool_size, batch):
         us = rng.random((min(batch, pool_size - start), model.space.dim))
-        counts += np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+        idx = np.searchsorted(strata.edges, model.predict_normalized(us), side="right")
+        counts += np.bincount(idx, minlength=strata.n_strata)
     return counts
+
+
+BATCH = strata_module._POOL_BATCH
+CUTOFF = strata_module._SERIAL_BATCHES * BATCH
 
 
 @pytest.mark.parametrize("serial_batches", [None, 0], ids=["cutoff", "helper-always"])
 @pytest.mark.parametrize(
-    "pool_size", [1, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000, 3 * (1 << 16) + 17, 2_000_000]
+    "pool_size",
+    [
+        1, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000, 3 * (1 << 16) + 17, 2_000_000,
+        2 * BATCH + 17,  # three batches: the last, partial one is the caller's
+        3 * BATCH + 17,  # four batches: the last, partial one is the helper's
+        CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the serial cutoff
+    ],
 )
 def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
     if serial_batches is not None:
@@ -159,10 +214,25 @@ def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+def test_pool_keeps_a_buffered_half_output(monkeypatch):
+    # a 32-bit draw leaves half a PCG64 output buffered; rng.random keeps it, advance would not
+    monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
+    rng, reference_rng = substream(7, "pool", 0), substream(7, "pool", 0)
+    for g in (rng, reference_rng):
+        g.integers(0, 10, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    s = build_strata(0.6, 0.01, 100)
+    w = estimate_weights(s, AFFINE6, 3 * BATCH + 5, rng)
+    np.testing.assert_array_equal(w.hits(), _serial_pool_counts(s, AFFINE6, 3 * BATCH + 5, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert rng.integers(0, 1 << 30, size=4, dtype=np.int32).tolist() == reference_rng.integers(
+        0, 1 << 30, size=4, dtype=np.int32).tolist()
+
+
 def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
     monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
     s = build_strata(0.6, 0.01, 100)
-    pool_size = 5 * (1 << 16) + 3
+    pool_size = 5 * BATCH + 3
     expected = [_serial_pool_counts(s, AFFINE6, pool_size, substream(k, "pool", 0)) for k in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -176,10 +246,22 @@ def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
         np.testing.assert_array_equal(w.p1, counts / pool_size)
 
 
+class _NanOffTheMainThread:
+    """AFFINE6 whose predictions are NaN on every thread but the main one."""
+
+    space = AFFINE6.space
+
+    def predict_normalized(self, us):
+        out = AFFINE6.predict_normalized(us)
+        return out if threading.current_thread() is threading.main_thread() else out * np.nan
+
+
 def test_pool_binning_error_reaches_caller_and_joins_helper():
     nan_model = replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12]))
-    pool_size = (strata_module._SERIAL_BATCHES + 3) * strata_module._POOL_BATCH
-    before = threading.active_count()
-    with pytest.raises(BoundsError):
-        estimate_weights(build_strata(0.6, 0.01, 100), nan_model, pool_size, substream(6, "pool", 0))
-    assert threading.active_count() == before
+    pool_size = CUTOFF + 3 * BATCH
+    # NaN in every batch, then NaN in only the helper's batches
+    for model in (nan_model, _NanOffTheMainThread()):
+        before = threading.active_count()
+        with pytest.raises(BoundsError):
+            estimate_weights(build_strata(0.6, 0.01, 100), model, pool_size, substream(6, "pool", 0))
+        assert threading.active_count() == before
