@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Write four fixed run directories for comparing two checkouts byte for byte.
+"""Write five fixed run directories for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
-writes DIR/crit7, DIR/reference, DIR/ensemble and DIR/multi-iterate:
+writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate and DIR/external:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -11,13 +11,19 @@ writes DIR/crit7, DIR/reference, DIR/ensemble and DIR/multi-iterate:
   102 strata) at seed 0 with a 2*10^6 pool;
 - ``ensemble``: the small multi ensemble (10 + 30 + 21 evaluations) at seed 0;
 - ``multi-iterate``: ten 20-evaluation iterations at seed 5, each re-entered
-  through ``load_state``, as ``adastrat iterate`` does.
+  through ``load_state``, as ``adastrat iterate`` does;
+- ``external``: the benchmark's ``external-p2`` shape (single, 100 + 99
+  evaluations, 10^5 pool) at seed 3, through two children of
+  ``tests/fixtures/external_objective.py``. The command names the solver by
+  its path from the repo root, the working directory of the run, so
+  ``config.json`` does not depend on where the checkout lives.
 
 Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
 """
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +53,12 @@ CASES = {
         **REFERENCE, preliminary_count=20, iteration_budgets=(20,) * 10, inner_strata=20,
         band_halfwidth_sigmas=20.0, pool_size=100_000, mode="multi", seed=5,
     ),
+    "external": RunConfig(
+        critical_value=0.93, preliminary_count=100, iteration_budgets=(99,), inner_strata=100,
+        pool_size=100_000, mode="single", seed=3, parallelism=2,
+        evaluator={"type": "external", "command": [sys.executable, "tests/fixtures/external_objective.py"],
+                   "timeout": 60.0},
+    ),
 }
 
 
@@ -54,6 +66,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="directory to create the run dirs in")
     args = parser.parse_args()
+    args.out = args.out.resolve()
+    os.chdir(ROOT)  # the external case's solver path is relative to the repo root
     for name, config in CASES.items():
         run_dir = args.out / name
         if run_dir.exists():

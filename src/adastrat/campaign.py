@@ -16,6 +16,7 @@ a persisted run between iterations reproduces the uninterrupted run exactly.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -42,7 +43,8 @@ STATE_FORMAT = 2
 class RunState:
     """Everything the campaign knows between iterations.
 
-    ``load_state`` recomputes only the last of ``estimates``.
+    ``load_state`` recomputes only the last of ``estimates``. The one evaluator
+    keeps its children until ``evaluator.close()``.
     """
 
     config: RunConfig
@@ -54,6 +56,10 @@ class RunState:
     iteration: int = 0
     next_id: int = 0
     estimates: list[RareEventEstimate] = field(default_factory=list)
+    evaluator: object = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.evaluator = build_evaluator(self.config)
 
     def total_evaluations(self) -> int:
         return len(self.samples)
@@ -103,7 +109,7 @@ def _evaluate_new(
     ]
     state.next_id += len(requests)
     outcome = evaluate_batch(
-        build_evaluator(cfg),
+        state.evaluator,
         requests,
         parallelism=cfg.parallelism,
         run_dir=None if state.run_dir is None else str(state.run_dir),
@@ -166,13 +172,21 @@ def init_run_dir(config: RunConfig, run_dir: Path) -> None:
     persist.write_doc(run_dir / "config.json", config.to_dict())
 
 
-def run_preliminary(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
-    """Draw, evaluate and model the preliminary batch; estimate stratum weights."""
+def _new_state(config: RunConfig, run_dir: Optional[Path]) -> RunState:
     config.validate()
     if run_dir is not None:
         run_dir = Path(run_dir)
         init_run_dir(config, run_dir)
-    state = RunState(config=config, run_dir=run_dir)
+    return RunState(config=config, run_dir=run_dir)
+
+
+def run_preliminary(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
+    """Draw, evaluate and model the preliminary batch; estimate stratum weights."""
+    return _preliminary(_new_state(config, run_dir))
+
+
+def _preliminary(state: RunState) -> RunState:
+    config = state.config
     rng = substream(config.seed, "preliminary")
     if config.preliminary_design.get("type") == "product":
         counts = {k: int(v) for k, v in config.preliminary_design["counts"].items()}
@@ -220,28 +234,30 @@ def run_iteration(state: RunState, budget: int) -> RunState:
 
 def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
     """Preliminary batch plus every configured budget; a run dir is resumed under its stored config only."""
-    if run_dir is not None and (Path(run_dir) / "state.json").exists():
-        state = load_state(Path(run_dir))
-        stored = state.config.to_dict()
-        changed = sorted(k for k, v in config.to_dict().items() if v != stored[k])
-        if changed:
-            raise ConfigError(f"run directory {run_dir} holds a campaign with other {', '.join(changed)}; "
-                              "resume it with its stored config")
-    else:
-        state = run_preliminary(config, run_dir)
-    for budget in state.config.iteration_budgets[state.iteration :]:
-        run_iteration(state, budget)
-        threshold = state.config.stop_unbiased_variance_below
-        if threshold is not None and state.estimates[-1].unbiased_variance < threshold:
-            if run_dir is not None:
-                persist.append_log(
-                    Path(run_dir),
-                    f"stopping after iteration {state.iteration}: unbiased variance "
-                    f"{state.estimates[-1].unbiased_variance!r} below threshold {threshold!r}",
-                )
-            break
-    if run_dir is not None:
-        write_report(state)
+    resume = run_dir is not None and (Path(run_dir) / "state.json").exists()
+    state = load_state(Path(run_dir)) if resume else _new_state(config, run_dir)
+    with closing(state.evaluator):
+        if resume:
+            stored = state.config.to_dict()
+            changed = sorted(k for k, v in config.to_dict().items() if v != stored[k])
+            if changed:
+                raise ConfigError(f"run directory {run_dir} holds a campaign with other {', '.join(changed)}; "
+                                  "resume it with its stored config")
+        else:
+            _preliminary(state)
+        for budget in state.config.iteration_budgets[state.iteration :]:
+            run_iteration(state, budget)
+            threshold = state.config.stop_unbiased_variance_below
+            if threshold is not None and state.estimates[-1].unbiased_variance < threshold:
+                if run_dir is not None:
+                    persist.append_log(
+                        Path(run_dir),
+                        f"stopping after iteration {state.iteration}: unbiased variance "
+                        f"{state.estimates[-1].unbiased_variance!r} below threshold {threshold!r}",
+                    )
+                break
+        if run_dir is not None:
+            write_report(state)
     return state
 
 

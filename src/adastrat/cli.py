@@ -6,7 +6,8 @@ existing run), ``report`` (recompute and print the estimate), ``compare-mc``
 (naive Monte Carlo baseline on the same evaluator), ``oracle`` (brute-force
 truth for synthetic evaluators). ``init``, ``run`` and ``iterate`` hold a
 lock on the run directory, so a second writer is refused; ``report`` only
-reads and takes none.
+reads and takes none. ``run``, ``iterate`` and ``compare-mc`` end their
+evaluator's children before they return (and before the lock is released).
 
 Exit codes: 0 success, 2 configuration error, 3 evaluator failure threshold,
 4 allocation infeasible.
@@ -18,7 +19,7 @@ import fcntl
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,8 @@ def _cmd_iterate(args) -> int:
                     f"all {len(budgets)} configured budgets are consumed; pass --budget explicitly"
                 )
             budget = budgets[state.iteration]
-        run_iteration(state, budget)
+        with closing(state.evaluator):  # its children end before the lock is released
+            run_iteration(state, budget)
         sys.stdout.write(render_report(write_report(state)))
         return EXIT_OK
 
@@ -153,11 +155,11 @@ def _cmd_compare_mc(args) -> int:
     config = _load(args)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    evaluator = build_evaluator(config)
     rng = substream(config.seed, "compare-mc")
     params = sample_uniform(config.space, rng, args.n)
     requests = [EvaluationRequest(id=i, params=w) for i, w in enumerate(params)]
-    outcome = evaluate_batch(evaluator, requests, parallelism=config.parallelism)
+    with closing(build_evaluator(config)) as evaluator:
+        outcome = evaluate_batch(evaluator, requests, parallelism=config.parallelism)
     values = np.array([r.objective for r in outcome.results])
     n = values.size
     if n == 0:

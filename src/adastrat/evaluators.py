@@ -5,7 +5,8 @@ forms on the default 6-D box, cheap enough for brute-force ground truth yet
 shaped to leave a linear surrogate a genuine residual. The external
 evaluator wraps any command that speaks the line protocol: one JSON object
 ``{"id": ..., "params": {name: value, ...}}`` per request on stdin, one
-``{"id": ..., "objective": ...}`` per reply on stdout.
+``{"id": ..., "objective": ...}`` per reply on stdout. Each worker's child
+serves every batch until the evaluator's ``close``.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import select
 import subprocess
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from typing import BinaryIO, Optional, Sequence
 
@@ -139,6 +141,9 @@ class SyntheticObjective:
         ]
         return results, []
 
+    def close(self) -> None:
+        """Nothing to release: the closed form runs in-process."""
+
 
 def oracle_probability(
     objective: SyntheticObjective,
@@ -163,7 +168,12 @@ def oracle_probability(
 
 
 class ExternalEvaluator:
-    """Run an external command per worker and exchange JSON lines with it."""
+    """Keep one running command per worker slot and exchange JSON lines with it.
+
+    A slot's child serves every ``run_batch`` until ``close`` (or, for an evaluator
+    dropped unclosed, a finalizer). A request that kills or fails it, or a batch for
+    another run dir (the child got its own in the environment), replaces it.
+    """
 
     def __init__(
         self,
@@ -178,6 +188,12 @@ class ExternalEvaluator:
         self.command = list(command)
         self.timeout = float(timeout)
         self.space = space
+        self._children: dict = {}  # slot -> (child, its stderr file, the run dir it was started for)
+        weakref.finalize(self, _end_children, self._children)
+
+    def close(self) -> None:
+        """End every slot's child: EOF on its stdin, 5 s to exit, then a kill."""
+        _end_children(self._children)
 
     def _spawn(self, run_dir: Optional[str], stderr: BinaryIO) -> subprocess.Popen:
         env = dict(os.environ)
@@ -217,38 +233,39 @@ class ExternalEvaluator:
         parallelism: int,
         run_dir: Optional[str],
     ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Deal the requests round-robin onto ``parallelism`` workers, one child each."""
+        """Deal the requests round-robin onto ``parallelism`` worker slots, one child each."""
         chunks = [list(requests[k::parallelism]) for k in range(parallelism)]
         if parallelism == 1:
-            out = [self.run_chunk(chunks[0], run_dir)]
+            out = [self.run_chunk(0, chunks[0], run_dir)]
         else:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                out = list(pool.map(lambda c: self.run_chunk(c, run_dir), chunks))
+                out = list(pool.map(lambda k: self.run_chunk(k, chunks[k], run_dir), range(parallelism)))
         results = [r for res, _ in out for r in res]
         failures = [f for _, fail in out for f in fail]
         return results, failures
 
     def run_chunk(
         self,
+        slot: int,
         requests: Sequence[EvaluationRequest],
         run_dir: Optional[str],
     ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Feed one worker's requests through a (restartable) child process."""
+        """Feed one worker's requests to its slot's child, (re)starting the child as needed."""
         results: list[EvaluationResult] = []
         failures: list[EvaluationFailure] = []
         names = self.space.names
-        proc: Optional[subprocess.Popen] = None
-        stderr: Optional[BinaryIO] = None
+        proc, stderr, started_for = self._children.pop(slot, (None, None, None))
         try:
             for req in requests:
                 started = time.monotonic()
                 try:
-                    if proc is None or proc.poll() is not None:
-                        if stderr is not None:
-                            stderr.close()
-                        stderr = tempfile.TemporaryFile()  # each child's own, unnamed
+                    if proc is not None and (proc.poll() is not None or started_for != run_dir):
+                        _end_children({slot: (proc, stderr, started_for)})
+                        proc = None
+                    if proc is None:
+                        stderr, started_for = tempfile.TemporaryFile(), run_dir  # each child's own, unnamed
                         proc = self._spawn(run_dir, stderr)
                     payload = {
                         "id": int(req.id),
@@ -258,38 +275,50 @@ class ExternalEvaluator:
                     proc.stdin.flush()
                     line = self._read_reply(proc, started + self.timeout)
                     reply = json.loads(line.decode("utf-8"))
-                    if reply.get("id") != req.id:
+                    if not isinstance(reply, dict):
+                        raise IOError(f"reply {reply!r} is not a JSON object")
+                    if type(reply.get("id")) is not int or reply["id"] != req.id:
                         raise IOError(f"reply id {reply.get('id')!r} does not match request id {req.id}")
-                    objective = float(reply["objective"])
-                    if not np.isfinite(objective):
-                        raise IOError(f"non-finite objective {objective!r}")
-                    results.append(
-                        EvaluationResult(
-                            id=req.id,
-                            objective=objective,
-                            wall_time=time.monotonic() - started,
-                        )
-                    )
-                except (TimeoutError, EOFError, IOError, OSError, ValueError, KeyError) as exc:
+                    objective = reply.get("objective")
+                    if type(objective) not in (int, float) or not np.isfinite(float(objective)):
+                        raise IOError(f"objective {objective!r} is not a finite JSON number")
+                    wall_time = time.monotonic() - started
+                    results.append(EvaluationResult(id=req.id, objective=float(objective), wall_time=wall_time))
+                except (TimeoutError, EOFError, OSError, ValueError, OverflowError) as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                     if proc is not None:
                         proc.kill()
                         proc.wait()
                         reason += _stderr_tail(stderr)
+                        _end_children({slot: (proc, stderr, started_for)})
                         proc = None
                     failures.append(EvaluationFailure(id=req.id, reason=reason))
-        finally:
+        except BaseException:  # a child in an unknown state is not kept
             if proc is not None:
-                if proc.stdin:
-                    proc.stdin.close()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-            if stderr is not None:
-                stderr.close()
+                proc.kill()
+                _end_children({slot: (proc, stderr, started_for)})
+            raise
+        if proc is not None:
+            self._children[slot] = (proc, stderr, started_for)
         return results, failures
+
+
+def _end_children(children: dict) -> None:
+    """Empty ``children``: EOF on each child's stdin, 5 s to exit, then a kill; close its pipes and stderr file."""
+    ended = [children.pop(slot) for slot in list(children)]
+    for proc, _, _ in ended:
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:  # bytes left unflushed to a child that is gone
+            pass
+    for proc, stderr, _ in ended:
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        stderr.close()
 
 
 def _stderr_tail(stderr: BinaryIO) -> str:

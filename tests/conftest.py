@@ -19,3 +19,19 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 def calibration() -> dict:
     """Frozen critical value and brute-force oracle truth for the synthetic objective."""
     return json.loads((FIXTURES / "calibration.json").read_text())
+
+
+@pytest.fixture()
+def spawned(monkeypatch) -> list:
+    """Every child process an ExternalEvaluator starts during the test, in start order."""
+    from adastrat.evaluators import ExternalEvaluator
+
+    children = []
+    spawn = ExternalEvaluator._spawn
+
+    def counted(self, *args):
+        children.append(spawn(self, *args))
+        return children[-1]
+
+    monkeypatch.setattr(ExternalEvaluator, "_spawn", counted)
+    return children

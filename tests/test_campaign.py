@@ -17,13 +17,14 @@ from adastrat.campaign import (
     write_report,
 )
 from adastrat.config import RunConfig, config_from_dict
-from adastrat.errors import ConfigError, EvaluationThresholdError
+from adastrat.errors import AllocationError, ConfigError, EvaluationThresholdError
 from adastrat.evaluators import BatchOutcome, EvaluationFailure
 from adastrat.persist import read_table
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
+EXTERNAL = {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]}
 
 
 def small_config(**overrides):
@@ -320,3 +321,30 @@ def test_config_round_trip_through_dict():
     cfg = small_config()
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
+
+
+@pytest.mark.parametrize("mode, budgets", [("single", (20,)), ("multi", (10, 10, 10))])
+def test_campaign_starts_one_child_per_worker(spawned, tmp_path, mode, budgets):
+    # one child per worker slot for the whole campaign, not 2 per batch
+    cfg = small_config(evaluator=EXTERNAL, mode=mode, iteration_budgets=budgets, parallelism=2)
+    state = run_campaign(cfg, tmp_path / "r")
+    assert state.iteration == len(budgets) and len(state.samples) == 40 + sum(budgets)
+    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
+def test_campaign_ends_its_children_when_it_raises(spawned):
+    flaky = [sys.executable, str(FIXTURES / "flaky_evaluator.py")]
+    garbage = small_config(evaluator={"type": "external", "command": flaky + ["garbage"]},
+                           preliminary_count=30, failure_abort_fraction=0.2, parallelism=2)
+    with pytest.raises(EvaluationThresholdError) as raised:
+        run_campaign(garbage)
+    # ended by run_campaign itself: the traceback it raised with still holds its state
+    assert raised.tb is not None and spawned and all(p.poll() is not None for p in spawned)
+    # the solver replies the sum of the parameters: a perfect linear fit, every sample
+    # below the critical value, so the allocation has no weight to spend
+    linear = RunConfig(critical_value=100.0, evaluator={"type": "external", "command": flaky + ["none"]},
+                       preliminary_count=10, iteration_budgets=(5,), pool_size=10_000, seed=1, parallelism=2)
+    started = len(spawned)
+    with pytest.raises(AllocationError) as raised:
+        run_campaign(linear.validate())
+    assert raised.tb is not None and len(spawned) == started + 2 and all(p.poll() is not None for p in spawned)

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from contextlib import contextmanager
+
+from adastrat import cli
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
 from adastrat.config import load_config
@@ -232,3 +235,42 @@ def test_mode_and_evaluator_overrides(tmp_path, config_path):
     stored = json.loads((run_dir / "config.json").read_text())
     assert stored["mode"] == "single"
     assert stored["seed"] == 9
+
+
+def test_commands_end_their_children_inside_the_lock(tmp_path, monkeypatch, spawned, capsys):
+    doc = {
+        "critical_value": 0.95,
+        "evaluator": {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]},
+        "preliminary_count": 30,
+        "iteration_budgets": [10],
+        "inner_strata": 20,
+        "pool_size": 20_000,
+        "parallelism": 2,
+        "seed": 3,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    running_at_release = []
+    sole_writer = cli._sole_writer
+
+    @contextmanager
+    def checked(run_dir, create):
+        with sole_writer(run_dir, create):
+            try:
+                yield
+            finally:
+                running_at_release.append(sum(p.poll() is None for p in spawned))
+
+    monkeypatch.setattr(cli, "_sole_writer", checked)
+    run_dir = str(tmp_path / "r")
+    for argv in (
+        ["run", "--config", str(cfg), "--run-dir", run_dir],
+        ["iterate", "--run-dir", run_dir, "--budget", "5"],
+        ["compare-mc", "--config", str(cfg), "--n", "20"],
+    ):
+        started = len(spawned)
+        assert main(argv) == 0, argv[0]
+        assert len(spawned) == started + 2, argv[0]
+        assert all(p.poll() is not None for p in spawned), argv[0]
+    assert running_at_release == [0, 0]
+    assert json.loads((tmp_path / "r" / "report.json").read_text())["total_evaluations"] == 45

@@ -1,4 +1,6 @@
+import gc
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +91,20 @@ def _external(mode=None, timeout=20.0):
     cmd = [sys.executable, str(FIXTURES / "flaky_evaluator.py")]
     if mode:
         cmd.append(mode)
-    return ExternalEvaluator(command=cmd, timeout=timeout)
+    return closing(ExternalEvaluator(command=cmd, timeout=timeout))
+
+
+def _requests(n, key):
+    ws = sample_uniform(DEFAULT_SPACE, substream(10, key), n)
+    return [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
 
 
 def test_external_echo_script_matches_direct_computation():
     # the script replies with the plain sum of the parameter values
     ws = sample_uniform(DEFAULT_SPACE, substream(4, "echo"), 12)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("none"), reqs, parallelism=3)
+    with _external("none") as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=3)
     assert not out.failures
     got = np.array([r.objective for r in out.results])
     np.testing.assert_allclose(got, ws.sum(axis=1), rtol=0, atol=1e-12)
@@ -105,15 +113,17 @@ def test_external_echo_script_matches_direct_computation():
 def test_external_multiset_independent_of_parallelism():
     ws = sample_uniform(DEFAULT_SPACE, substream(5, "multi"), 9)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    seq = evaluate_batch(_external("none"), reqs, parallelism=1)
-    par = evaluate_batch(_external("none"), reqs, parallelism=4)
+    with _external("none") as evaluator:  # slot 0's child serves both batches
+        seq = evaluate_batch(evaluator, reqs, parallelism=1)
+        par = evaluate_batch(evaluator, reqs, parallelism=4)
     assert [(r.id, r.objective) for r in seq.results] == [(r.id, r.objective) for r in par.results]
 
 
 def test_external_garbage_replies_fail_only_their_requests():
     ws = sample_uniform(DEFAULT_SPACE, substream(6, "garbage"), 9)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("garbage"), reqs, parallelism=1)
+    with _external("garbage") as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
     assert sorted(f.id for f in out.failures) == [0, 3, 6]
     assert sorted(r.id for r in out.results) == [1, 2, 4, 5, 7, 8]
 
@@ -121,7 +131,8 @@ def test_external_garbage_replies_fail_only_their_requests():
 def test_external_crash_restarts_and_continues():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "crash"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("crash"), reqs, parallelism=1)
+    with _external("crash") as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
     assert len(out.failures) >= 1
     assert len(out.results) + len(out.failures) == 6
 
@@ -129,7 +140,8 @@ def test_external_crash_restarts_and_continues():
 def test_external_failure_reason_carries_the_stderr_tail():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "stderr"), 4)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("stderr"), reqs, parallelism=1)
+    with _external("stderr") as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
     # each child answers one request and dies on the next: requests 1 and 3 fail
     assert [f.id for f in out.failures] == [1, 3]
     for f in out.failures:
@@ -138,14 +150,16 @@ def test_external_failure_reason_carries_the_stderr_tail():
         assert tail.endswith(f"solver died on request {f.id}")
         assert len(tail.encode()) <= 2048 and tail.startswith("x")
     # a child that wrote nothing to stderr adds nothing
-    out = evaluate_batch(_external("garbage"), reqs[:1], parallelism=1)
+    with _external("garbage") as evaluator:
+        out = evaluate_batch(evaluator, reqs[:1], parallelism=1)
     assert out.failures[0].reason == "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
 
 
 def test_external_timeout_reported_per_request():
     ws = sample_uniform(DEFAULT_SPACE, substream(8, "hang"), 3)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("hang", timeout=1.0), reqs, parallelism=1)
+    with _external("hang", timeout=1.0) as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
     assert sorted(f.id for f in out.failures) == [0, 2]
     assert "Timeout" in out.failures[0].reason
     assert [r.id for r in out.results] == [1]
@@ -154,5 +168,78 @@ def test_external_timeout_reported_per_request():
 def test_external_wrong_id_detected():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "wrong"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(_external("wrong-id"), reqs, parallelism=1)
+    with _external("wrong-id") as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
     assert sorted(f.id for f in out.failures) == [0, 5]
+
+
+@pytest.mark.parametrize("mode, bad", [
+    ("null-objective", [0, 3, 6, 9]),
+    ("non-object", [0, 3, 6, 9]),
+    ("bad-types", [1, 4, 7, 10]),  # id true, objective "…", […] and true
+])
+def test_external_malformed_replies_fail_only_their_requests(mode, bad):
+    reqs = _requests(12, mode)
+    with _external(mode) as evaluator:
+        out = evaluate_batch(evaluator, reqs, parallelism=1)
+    assert [f.id for f in out.failures] == bad
+    assert [r.id for r in out.results] == [i for i in range(12) if i not in bad]
+    assert all(f.reason.startswith("OSError: ") for f in out.failures)
+
+
+def test_external_children_serve_every_batch(spawned):
+    reqs = _requests(10, "batches")
+    with _external("none") as evaluator:
+        first = evaluate_batch(evaluator, reqs[:5], parallelism=2)
+        second = evaluate_batch(evaluator, reqs[5:], parallelism=2)
+        assert len(spawned) == 2 and all(p.poll() is None for p in spawned)
+    assert not first.failures and not second.failures
+    assert [r.id for r in first.results + second.results] == list(range(10))
+    assert all(p.poll() is not None for p in spawned)  # close ended them
+
+
+def test_external_dead_child_is_replaced_before_the_next_batch(spawned):
+    reqs = _requests(8, "replaced")
+    with _external("none") as evaluator:
+        evaluate_batch(evaluator, reqs[:4], parallelism=2)
+        spawned[0].kill()
+        spawned[0].wait(timeout=10)
+        out = evaluate_batch(evaluator, reqs[4:], parallelism=2)
+    assert not out.failures and [r.id for r in out.results] == [4, 5, 6, 7]
+    assert len(spawned) == 3
+
+
+def test_external_child_is_kept_for_its_own_run_dir_only(spawned, tmp_path):
+    reqs = _requests(6, "run-dir")
+    with _external("none") as evaluator:
+        evaluate_batch(evaluator, reqs[:2], parallelism=1, run_dir=str(tmp_path / "a"))
+        evaluate_batch(evaluator, reqs[2:4], parallelism=1, run_dir=str(tmp_path / "a"))
+        assert len(spawned) == 1
+        evaluate_batch(evaluator, reqs[4:], parallelism=1, run_dir=str(tmp_path / "b"))
+        assert len(spawned) == 2 and spawned[0].poll() is not None
+
+
+def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch):
+    reqs = _requests(4, "escape")
+    with _external("none") as evaluator:
+        evaluate_batch(evaluator, reqs[:2], parallelism=1)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(ExternalEvaluator, "_read_reply", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                evaluate_batch(evaluator, reqs[2:3], parallelism=1)
+        assert spawned[0].poll() is not None
+        out = evaluate_batch(evaluator, reqs[3:], parallelism=1)
+    assert not out.failures and len(spawned) == 2
+
+
+def test_external_children_of_a_dropped_evaluator_are_ended(spawned):
+    evaluator = ExternalEvaluator(command=[sys.executable, str(FIXTURES / "flaky_evaluator.py"), "none"])
+    evaluate_batch(evaluator, _requests(4, "dropped"), parallelism=2)
+    assert all(p.poll() is None for p in spawned)
+    del evaluator
+    gc.collect()
+    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
