@@ -47,7 +47,7 @@ CASES = {
     ),
     "ensemble": RunConfig(
         **REFERENCE, preliminary_count=10, iteration_budgets=(30, 21), inner_strata=20,
-        pool_size=1_000_000, mode="multi", seed=0, n_confident=10, band_halfwidth_sigmas=20.0,
+        pool_size=1_000_000, mode="multi", seed=0, band_halfwidth_sigmas=20.0,
     ),
     "multi-iterate": RunConfig(
         **REFERENCE, preliminary_count=20, iteration_budgets=(20,) * 10, inner_strata=20,

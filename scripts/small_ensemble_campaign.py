@@ -36,7 +36,6 @@ def main() -> int:
         pool_size=args.pool_size,
         mode="multi",
         seed=args.seed,
-        n_confident=10,
         band_halfwidth_sigmas=20.0,
     )
     state = run_campaign(config, args.run_dir)

@@ -25,6 +25,9 @@ from .surrogate import SurrogateModel
 # ``per_stratum_cap`` is checked once per batch, that is every 4,096 rows.
 _SEARCH_BATCH = 1 << 12
 
+#: Pool draws a stratum's occupancy estimate needs before the plan gives it samples.
+MIN_POOL_HITS = 10
+
 
 def optimal_weights(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Unnormalized allocation weights w_i = p1_i * sqrt(p2_i * (1 - p2_i)).
@@ -148,7 +151,6 @@ def plan_allocation(
     existing: np.ndarray,
     budget: int,
     *,
-    min_pool_hits: int = 10,
     prune_share: float = 0.0,
 ) -> AllocationPlan:
     """Full planning step: weights, pruning, apportionment, existing-credit.
@@ -160,14 +162,14 @@ def plan_allocation(
     earlier samples yields its share to under-sampled ones instead of the
     other way around.
 
-    Strata whose occupancy estimate rests on fewer than ``min_pool_hits``
+    Strata whose occupancy estimate rests on fewer than ``MIN_POOL_HITS``
     pool draws are dropped from the plan (their weight is unreliable and a
     candidate search there may never terminate), as are strata holding less
     than ``prune_share`` of the total weight, except the largest one: a share
     above 1/n of n near-equal strata would otherwise prune them all.
     """
     weights = optimal_weights(p1, p2)
-    weights[np.asarray(pool_hits) < min_pool_hits] = 0.0
+    weights[np.asarray(pool_hits) < MIN_POOL_HITS] = 0.0
     if prune_share > 0.0 and weights.any():
         pruned = weights < prune_share * weights.sum()
         pruned[np.argmax(weights)] = False

@@ -38,13 +38,16 @@ from .surrogate import SurrogateModel, fit
 #: Version of the run-directory layout that ``state.json`` commits.
 STATE_FORMAT = 2
 
+#: The preliminary batch aborts when more than this share of it fails.
+FAILURE_ABORT_FRACTION = 0.2
+
 
 @dataclass
 class RunState:
     """Everything the campaign knows between iterations.
 
-    ``load_state`` recomputes only the last of ``estimates``. The one evaluator
-    keeps its children until ``evaluator.close()``.
+    ``load_state`` recomputes only the last of ``estimates``. The one evaluator,
+    built for ``run_dir``, keeps its children until ``evaluator.close()``.
     """
 
     config: RunConfig
@@ -59,7 +62,7 @@ class RunState:
     evaluator: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.evaluator = build_evaluator(self.config)
+        self.evaluator = build_evaluator(self.config, self.run_dir)
 
     def total_evaluations(self) -> int:
         return len(self.samples)
@@ -72,7 +75,7 @@ class RunState:
 
 def _model_and_strata(cfg: RunConfig, samples: list[SampleRecord]) -> tuple[SurrogateModel, StratumSet]:
     """Fit the surrogate on ``samples`` and lay the strata out around the critical value."""
-    model = fit(cfg.space, samples, dof_corrected=cfg.sigma_dof_corrected)
+    model = fit(cfg.space, samples)
     try:
         strata = build_strata(
             cfg.critical_value, model.sigma, cfg.inner_strata, halfwidth_sigmas=cfg.band_halfwidth_sigmas
@@ -96,30 +99,19 @@ def _estimate(state: RunState) -> RareEventEstimate:
     return build_estimate(state.weights, state.strata, counts, p2_obs)
 
 
-def _evaluate_new(
-    state: RunState,
-    params: np.ndarray | list[np.ndarray],
-    iteration: int,
-    abort_fraction: Optional[float] = None,
-) -> list[SampleRecord]:
+def _evaluate_new(state: RunState, params: np.ndarray | list[np.ndarray], iteration: int) -> list[SampleRecord]:
     """Run the expensive evaluator on new points and append the survivors."""
-    cfg = state.config
     requests = [
         EvaluationRequest(id=state.next_id + i, params=np.asarray(w, dtype=float)) for i, w in enumerate(params)
     ]
     state.next_id += len(requests)
-    outcome = evaluate_batch(
-        state.evaluator,
-        requests,
-        parallelism=cfg.parallelism,
-        run_dir=None if state.run_dir is None else str(state.run_dir),
-    )
+    outcome = evaluate_batch(state.evaluator, requests)
     if state.run_dir is not None:
         for f in outcome.failures:
             persist.append_log(state.run_dir, f"evaluation {f.id} failed: {f.reason}")
-    if abort_fraction is not None and len(outcome.failures) > abort_fraction * len(requests):
+    if iteration == 0 and len(outcome.failures) > FAILURE_ABORT_FRACTION * len(requests):
         raise EvaluationThresholdError(
-            f"{len(outcome.failures)} of {len(requests)} evaluations failed (threshold {abort_fraction:.0%})"
+            f"{len(outcome.failures)} of {len(requests)} evaluations failed (threshold {FAILURE_ABORT_FRACTION:.0%})"
         )
     by_id = {r.id: r for r in requests}
     new_records = [
@@ -189,11 +181,10 @@ def _preliminary(state: RunState) -> RunState:
     config = state.config
     rng = substream(config.seed, "preliminary")
     if config.preliminary_design.get("type") == "product":
-        counts = {k: int(v) for k, v in config.preliminary_design["counts"].items()}
-        params = sample_product(config.space, rng, counts)
+        params = sample_product(config.space, rng, config.preliminary_design["counts"])
     else:
         params = sample_uniform(config.space, rng, config.preliminary_count)
-    _evaluate_new(state, params, iteration=0, abort_fraction=config.failure_abort_fraction)
+    _evaluate_new(state, params, iteration=0)
     _fit_and_stratify(state)
     _persist_iteration(state, None, None, None, write_model=True)
     return state
@@ -211,16 +202,13 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     plan: Optional[AllocationPlan] = None
     refit_happened = False
     if budget > 0:
-        table = build_conditional_table(state.strata, *state.observations(), cfg.critical_value, cfg.n_confident)
+        table = build_conditional_table(state.strata, *state.observations(), cfg.critical_value)
         p2_for_allocation = table.p2_pred if cfg.mode == "single" else table.p2_mix
         plan = plan_allocation(
             state.weights.p1, state.weights.hits(), p2_for_allocation, table.counts, budget,
-            min_pool_hits=cfg.min_pool_hits, prune_share=cfg.allocation_prune_share,
+            prune_share=cfg.allocation_prune_share,
         )
-        candidates = select_candidates(
-            state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k),
-            per_stratum_cap=cfg.per_stratum_cap,
-        )
+        candidates = select_candidates(state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k))
         new_records = _evaluate_new(state, [w for _, w in candidates], iteration=k)
         if cfg.mode == "multi" and new_records:
             state.iteration = k  # the pool substream is named after the refit index
@@ -248,7 +236,8 @@ def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
         for budget in state.config.iteration_budgets[state.iteration :]:
             run_iteration(state, budget)
             threshold = state.config.stop_unbiased_variance_below
-            if threshold is not None and state.estimates[-1].unbiased_variance < threshold:
+            # exactly 0 means no sampled stratum is mixed (say, a noise-free objective), not precision
+            if threshold is not None and 0 < state.estimates[-1].unbiased_variance < threshold:
                 if run_dir is not None:
                     persist.append_log(
                         Path(run_dir),

@@ -6,8 +6,9 @@ existing run), ``report`` (recompute and print the estimate), ``compare-mc``
 (naive Monte Carlo baseline on the same evaluator), ``oracle`` (brute-force
 truth for synthetic evaluators). ``init``, ``run`` and ``iterate`` hold a
 lock on the run directory, so a second writer is refused; ``report`` only
-reads and takes none. ``run``, ``iterate`` and ``compare-mc`` end their
-evaluator's children before they return (and before the lock is released).
+reads and takes none. ``run`` and ``iterate`` build their evaluator for the
+run directory, ``compare-mc`` without one; each ends its children before it
+returns (and before the lock is released).
 
 Exit codes: 0 success, 2 configuration error, 3 evaluator failure threshold,
 4 allocation infeasible.
@@ -159,7 +160,7 @@ def _cmd_compare_mc(args) -> int:
     params = sample_uniform(config.space, rng, args.n)
     requests = [EvaluationRequest(id=i, params=w) for i, w in enumerate(params)]
     with closing(build_evaluator(config)) as evaluator:
-        outcome = evaluate_batch(evaluator, requests, parallelism=config.parallelism)
+        outcome = evaluate_batch(evaluator, requests)
     values = np.array([r.objective for r in outcome.results])
     n = values.size
     if n == 0:

@@ -18,6 +18,9 @@ from .strata import StratumSet
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Samples at which the hybrid trusts a stratum's observations fully.
+N_CONFIDENT = 10
+
 
 def laplace_exceedance(a: np.ndarray, critical_value: float, sigma: float) -> np.ndarray:
     """P(true objective > critical) for points whose surrogate values are ``a``.
@@ -113,11 +116,10 @@ def build_conditional_table(
     j_tilde: np.ndarray,
     j_true: np.ndarray,
     critical_value: float,
-    n_confident: int,
 ) -> ConditionalTable:
     pred = predict_p2(strata)
     counts, exceed, obs = observe_p2(strata, j_tilde, j_true, critical_value)
-    mix = mix_p2(obs, pred, counts, n_confident)
+    mix = mix_p2(obs, pred, counts, N_CONFIDENT)
     return ConditionalTable(
         p2_pred=pred,
         p2_obs=obs,

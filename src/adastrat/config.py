@@ -2,29 +2,27 @@
 
 A config is a plain JSON document; numeric defaults follow the reference
 campaign (100 preliminary cases, one 99-case adaptive iteration, a 100-bin
-band of halfwidth 10 sigma, a ten-million-draw occupancy pool).
+band of halfwidth 10 sigma, a ten-million-draw occupancy pool). Settings no
+campaign varies are constants where they are used; their retired keys load only at that value.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
+from .allocation import MIN_POOL_HITS, select_candidates
+from .conditional import N_CONFIDENT
 from .errors import ConfigError
-from .evaluators import ExternalEvaluator, SyntheticObjective
-from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace
+from .evaluators import DEFAULT_TIMEOUT, ExternalEvaluator, SyntheticObjective
+from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace, product_rows
 
 MODES = ("single", "multi")
-_INT_FIELDS = (
-    "preliminary_count", "inner_strata", "pool_size", "n_confident",
-    "seed", "parallelism", "min_pool_hits", "per_stratum_cap",
-)
-_FLOAT_FIELDS = (
-    "critical_value", "band_halfwidth_sigmas", "allocation_prune_share",
-    "evaluation_timeout", "failure_abort_fraction",
-)
+_INT_FIELDS = ("preliminary_count", "inner_strata", "pool_size", "seed", "parallelism")
+_FLOAT_FIELDS = ("critical_value", "band_halfwidth_sigmas", "allocation_prune_share")
 
 
 def _int(name: str, value: Any) -> int:
@@ -60,16 +58,10 @@ class RunConfig:
     inner_strata: int = 100
     band_halfwidth_sigmas: float = 10.0
     pool_size: int = 10_000_000
-    n_confident: int = 10
     mode: str = "single"
     seed: int = 0
     parallelism: int = 1
-    sigma_dof_corrected: bool = False
-    min_pool_hits: int = 10
     allocation_prune_share: float = 0.0
-    per_stratum_cap: int = 10_000_000
-    evaluation_timeout: float = 3600.0
-    failure_abort_fraction: float = 0.2
     stop_unbiased_variance_below: Optional[float] = None
 
     def validate(self) -> "RunConfig":
@@ -81,8 +73,6 @@ class RunConfig:
             _int("iteration budget", b)
         if self.stop_unbiased_variance_below is not None:
             _finite("stop_unbiased_variance_below", self.stop_unbiased_variance_below)
-        if not isinstance(self.sigma_dof_corrected, bool):
-            raise ConfigError(f"sigma_dof_corrected must be true or false, got {self.sigma_dof_corrected!r}")
         for name in ("evaluator", "preliminary_design"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
@@ -101,30 +91,20 @@ class RunConfig:
             raise ConfigError(f"inner_strata must be >= 1, got {self.inner_strata}")
         if self.band_halfwidth_sigmas <= 0:
             raise ConfigError("band_halfwidth_sigmas must be positive")
-        if self.n_confident < 1:
-            raise ConfigError(f"n_confident must be >= 1, got {self.n_confident}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.per_stratum_cap < 1:
-            raise ConfigError(f"per_stratum_cap must be >= 1, got {self.per_stratum_cap}")
-        if not (0.0 <= self.failure_abort_fraction <= 1.0):
-            raise ConfigError("failure_abort_fraction must lie in [0, 1]")
         if not (0.0 <= self.allocation_prune_share < 1.0):
             raise ConfigError(f"allocation_prune_share must lie in [0, 1), got {self.allocation_prune_share!r}")
-        if not self.evaluation_timeout > 0:
-            raise ConfigError(f"evaluation_timeout must be positive, got {self.evaluation_timeout!r}")
         design = self.preliminary_design.get("type")
         if design not in ("random", "product"):
             raise ConfigError(f"preliminary_design type must be 'random' or 'product', got {design!r}")
         if design == "product":
             counts = self.preliminary_design.get("counts")
-            if not isinstance(counts, dict) or not counts:
+            if not isinstance(counts, dict):
                 raise ConfigError("product design needs a 'counts' mapping of group -> draws")
-            total = 1
-            for v in counts.values():
-                total *= _int("product design count", v)
+            total = product_rows(self.space, counts)
             if total != self.preliminary_count:
                 raise ConfigError(
                     f"product design counts multiply to {total}, "
@@ -143,8 +123,27 @@ class RunConfig:
         return doc
 
 
+def _retired() -> dict[str, Any]:
+    """Keys of settings that are now fixed, each with the one value it may still hold."""
+    from .campaign import FAILURE_ABORT_FRACTION  # campaign imports this module
+
+    return {
+        "n_confident": N_CONFIDENT,
+        "min_pool_hits": MIN_POOL_HITS,
+        "per_stratum_cap": inspect.signature(select_candidates).parameters["per_stratum_cap"].default,
+        "failure_abort_fraction": FAILURE_ABORT_FRACTION,
+        "evaluation_timeout": DEFAULT_TIMEOUT,
+        "sigma_dof_corrected": False,
+    }
+
+
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     doc = dict(doc)
+    for key, fixed in _retired().items():
+        value = doc.pop(key, fixed)
+        if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
+            where = "; set the evaluator block's timeout instead" if key == "evaluation_timeout" else ""
+            raise ConfigError(f"{key} is retired and fixed at {fixed!r}, got {value!r}{where}")
     if "space" in doc:
         specs = doc["space"]
         if not isinstance(specs, list) or not all(isinstance(d, dict) and "name" in d for d in specs):
@@ -186,8 +185,8 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def build_evaluator(config: RunConfig):
-    """Construct the evaluator the config asks for."""
+def build_evaluator(config: RunConfig, run_dir: Optional[Path] = None):
+    """Construct the evaluator the config asks for, for a campaign in ``run_dir`` (if any)."""
     spec = dict(config.evaluator)
     kind = spec.pop("type", None)
     if kind == "synthetic":
@@ -203,8 +202,10 @@ def build_evaluator(config: RunConfig):
             raise ConfigError("external evaluator config needs a 'command' list")
         evaluator = ExternalEvaluator(
             command=[str(c) for c in command],
-            timeout=float(_finite("evaluator timeout", spec.pop("timeout", config.evaluation_timeout))),
+            timeout=float(_finite("evaluator timeout", spec.pop("timeout", DEFAULT_TIMEOUT))),
             space=config.space,
+            parallelism=config.parallelism,
+            run_dir=run_dir,
         )
     else:
         raise ConfigError(f"evaluator type must be 'synthetic' or 'external', got {kind!r}")

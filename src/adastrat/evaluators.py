@@ -5,7 +5,8 @@ forms on the default 6-D box, cheap enough for brute-force ground truth yet
 shaped to leave a linear surrogate a genuine residual. The external
 evaluator wraps any command that speaks the line protocol: one JSON object
 ``{"id": ..., "params": {name: value, ...}}`` per request on stdin, one
-``{"id": ..., "objective": ...}`` per reply on stdout. Each worker's child
+``{"id": ..., "objective": ...}`` per reply on stdout. An evaluator is built
+once per campaign with its parallelism and run dir; each worker's child
 serves every batch until the evaluator's ``close``.
 """
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .errors import ConfigError
 from .space import DEFAULT_SPACE, ParameterSpace
 
 RUN_DIR_ENV = "ADASTRAT_RUN_DIR"
+
+#: Seconds an external evaluator waits for each reply, unless its config block sets ``timeout``.
+DEFAULT_TIMEOUT = 3600.0
 
 SYNTHETIC_KINDS = ("quadratic", "linear")
 
@@ -125,12 +129,7 @@ class SyntheticObjective:
             j = j + self.noise_scale * _coordinate_noise(self.seed, ws)
         return j
 
-    def run_batch(
-        self,
-        requests: Sequence[EvaluationRequest],
-        parallelism: int,
-        run_dir: Optional[str],
-    ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
+    def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
         """One vectorised call for all requests; a closed form needs no workers and never fails."""
         started = time.monotonic()
         values = self.evaluate_many(np.vstack([r.params for r in requests]))
@@ -170,42 +169,41 @@ def oracle_probability(
 class ExternalEvaluator:
     """Keep one running command per worker slot and exchange JSON lines with it.
 
-    A slot's child serves every ``run_batch`` until ``close`` (or, for an evaluator
-    dropped unclosed, a finalizer). A request that kills or fails it, or a batch for
-    another run dir (the child got its own in the environment), replaces it.
+    ``parallelism`` slots, each with one child that gets ``run_dir`` (if any) in
+    its environment. A slot's child serves every ``run_batch`` until ``close`` (or,
+    for an evaluator dropped unclosed, a finalizer); a request that kills or fails
+    it replaces it.
     """
 
     def __init__(
         self,
         command: Sequence[str],
-        timeout: float = 3600.0,
+        timeout: float = DEFAULT_TIMEOUT,
         space: ParameterSpace = DEFAULT_SPACE,
+        parallelism: int = 1,
+        run_dir: Optional[os.PathLike | str] = None,
     ):
         if not command:
             raise ConfigError("external evaluator needs a non-empty command")
         if not timeout > 0:
             raise ConfigError(f"evaluator timeout must be positive, got {timeout!r}")
+        if parallelism < 1:
+            raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
         self.command = list(command)
         self.timeout = float(timeout)
         self.space = space
-        self._children: dict = {}  # slot -> (child, its stderr file, the run dir it was started for)
+        self.parallelism = parallelism
+        self.run_dir = None if run_dir is None else str(run_dir)
+        self._children: dict = {}  # slot -> (child, its stderr file)
         weakref.finalize(self, _end_children, self._children)
 
     def close(self) -> None:
         """End every slot's child: EOF on its stdin, 5 s to exit, then a kill."""
         _end_children(self._children)
 
-    def _spawn(self, run_dir: Optional[str], stderr: BinaryIO) -> subprocess.Popen:
-        env = dict(os.environ)
-        if run_dir is not None:
-            env[RUN_DIR_ENV] = str(run_dir)
-        return subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=stderr,
-            env=env,
-        )
+    def _spawn(self, stderr: BinaryIO) -> subprocess.Popen:
+        env = None if self.run_dir is None else {**os.environ, RUN_DIR_ENV: self.run_dir}
+        return subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr, env=env)
 
     def _read_reply(self, proc: subprocess.Popen, deadline: float) -> bytes:
         buf = bytearray()
@@ -227,46 +225,39 @@ class ExternalEvaluator:
                     raise IOError("evaluator sent more than one reply line at once")
                 return line
 
-    def run_batch(
-        self,
-        requests: Sequence[EvaluationRequest],
-        parallelism: int,
-        run_dir: Optional[str],
-    ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Deal the requests round-robin onto ``parallelism`` worker slots, one child each."""
-        chunks = [list(requests[k::parallelism]) for k in range(parallelism)]
-        if parallelism == 1:
-            out = [self.run_chunk(0, chunks[0], run_dir)]
+    def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
+        """Deal the requests round-robin onto the ``parallelism`` worker slots, one child each."""
+        n = self.parallelism
+        chunks = [list(requests[k::n]) for k in range(n)]
+        if n == 1:
+            out = [self.run_chunk(0, chunks[0])]
         else:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                out = list(pool.map(lambda k: self.run_chunk(k, chunks[k], run_dir), range(parallelism)))
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                out = list(pool.map(self.run_chunk, range(n), chunks))
         results = [r for res, _ in out for r in res]
         failures = [f for _, fail in out for f in fail]
         return results, failures
 
     def run_chunk(
-        self,
-        slot: int,
-        requests: Sequence[EvaluationRequest],
-        run_dir: Optional[str],
+        self, slot: int, requests: Sequence[EvaluationRequest]
     ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
         """Feed one worker's requests to its slot's child, (re)starting the child as needed."""
         results: list[EvaluationResult] = []
         failures: list[EvaluationFailure] = []
         names = self.space.names
-        proc, stderr, started_for = self._children.pop(slot, (None, None, None))
+        proc, stderr = self._children.pop(slot, (None, None))
         try:
             for req in requests:
                 started = time.monotonic()
                 try:
-                    if proc is not None and (proc.poll() is not None or started_for != run_dir):
-                        _end_children({slot: (proc, stderr, started_for)})
+                    if proc is not None and proc.poll() is not None:
+                        _end_children({slot: (proc, stderr)})
                         proc = None
                     if proc is None:
-                        stderr, started_for = tempfile.TemporaryFile(), run_dir  # each child's own, unnamed
-                        proc = self._spawn(run_dir, stderr)
+                        stderr = tempfile.TemporaryFile()  # each child's own, unnamed
+                        proc = self._spawn(stderr)
                     payload = {
                         "id": int(req.id),
                         "params": {name: float(v) for name, v in zip(names, req.params)},
@@ -290,28 +281,28 @@ class ExternalEvaluator:
                         proc.kill()
                         proc.wait()
                         reason += _stderr_tail(stderr)
-                        _end_children({slot: (proc, stderr, started_for)})
+                        _end_children({slot: (proc, stderr)})
                         proc = None
                     failures.append(EvaluationFailure(id=req.id, reason=reason))
         except BaseException:  # a child in an unknown state is not kept
             if proc is not None:
                 proc.kill()
-                _end_children({slot: (proc, stderr, started_for)})
+                _end_children({slot: (proc, stderr)})
             raise
         if proc is not None:
-            self._children[slot] = (proc, stderr, started_for)
+            self._children[slot] = (proc, stderr)
         return results, failures
 
 
 def _end_children(children: dict) -> None:
     """Empty ``children``: EOF on each child's stdin, 5 s to exit, then a kill; close its pipes and stderr file."""
     ended = [children.pop(slot) for slot in list(children)]
-    for proc, _, _ in ended:
+    for proc, _ in ended:
         try:
             proc.stdin.close()
         except BrokenPipeError:  # bytes left unflushed to a child that is gone
             pass
-    for proc, stderr, _ in ended:
+    for proc, stderr in ended:
         try:
             proc.wait(timeout=5.0)
         except subprocess.TimeoutExpired:
@@ -328,12 +319,7 @@ def _stderr_tail(stderr: BinaryIO) -> str:
     return f"; solver stderr: {text}" if text else ""
 
 
-def evaluate_batch(
-    evaluator,
-    requests: Sequence[EvaluationRequest],
-    parallelism: int = 1,
-    run_dir: Optional[str] = None,
-) -> BatchOutcome:
+def evaluate_batch(evaluator, requests: Sequence[EvaluationRequest]) -> BatchOutcome:
     """Evaluate a batch of requests through the evaluator's ``run_batch``.
 
     Every request must come back as exactly one result or one failure.
@@ -341,11 +327,9 @@ def evaluate_batch(
     outcome is independent of worker count and scheduling for any
     deterministic evaluator.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if not requests:
         return BatchOutcome(results=[], failures=[])
-    results, failures = evaluator.run_batch(requests, parallelism, run_dir)
+    results, failures = evaluator.run_batch(requests)
     seen = [r.id for r in results] + [f.id for f in failures]
     if sorted(seen) != sorted(r.id for r in requests):
         raise ConfigError("evaluator protocol violation: request and reply ids do not match up")

@@ -7,6 +7,7 @@ natural units appear only in persistence and the evaluator protocol.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -115,6 +116,17 @@ def sample_uniform(space: ParameterSpace, rng: np.random.Generator, n: int) -> n
     return space.denormalize_many(u)
 
 
+def product_rows(space: ParameterSpace, group_counts: Mapping[str, int]) -> int:
+    """Rows of the product design: the product of the counts, one integer >= 1 per group of ``space``."""
+    groups = space.groups()
+    if set(group_counts) != set(groups):
+        raise ConfigError(f"product design needs one count per group {sorted(groups)}, got {sorted(group_counts)}")
+    for name, count in group_counts.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ConfigError(f"product design count of group {name!r} must be an integer >= 1, got {count!r}")
+    return math.prod(group_counts.values())
+
+
 def sample_product(
     space: ParameterSpace,
     rng: np.random.Generator,
@@ -125,24 +137,13 @@ def sample_product(
     Mirrors a campaign that first fixes a handful of geometries and then runs
     each one under a shared set of operating conditions. Groups are combined
     in the order they first appear in the space; the first group varies
-    slowest. Total rows = product of the group counts.
+    slowest. Total rows = ``product_rows(space, group_counts)``.
     """
+    product_rows(space, group_counts)
     groups = space.groups()
-    if set(group_counts) != set(groups):
-        raise ConfigError(
-            f"product design needs one count per group {sorted(groups)}, "
-            f"got {sorted(group_counts)}"
-        )
-    blocks: list[np.ndarray] = []
-    for name, cols in groups.items():
-        count = int(group_counts[name])
-        if count < 1:
-            raise ConfigError(f"group {name!r}: count must be >= 1")
-        blocks.append(rng.random((count, len(cols))))
-    rows = []
+    blocks = [rng.random((group_counts[name], len(cols))) for name, cols in groups.items()]
+    rows = [np.concatenate(combo) for combo in itertools.product(*blocks)]
     col_order = list(itertools.chain.from_iterable(groups.values()))
-    for combo in itertools.product(*blocks):
-        rows.append(np.concatenate(combo))
     u = np.asarray(rows)[:, np.argsort(col_order)]
     return space.denormalize_many(u)
 

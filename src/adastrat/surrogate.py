@@ -24,8 +24,7 @@ class SurrogateModel:
     """Affine model ``j ≈ intercept + coefficients · normalize(w)``.
 
     ``sigma`` is the plain root-mean-square residual over the training set
-    (divisor n), unless the fit was asked for the degrees-of-freedom
-    corrected variant.
+    (divisor n).
     """
 
     space: ParameterSpace
@@ -43,19 +42,12 @@ class SurrogateModel:
         return self.intercept + np.asarray(us, dtype=float) @ self.coefficients
 
 
-def fit(
-    space: ParameterSpace,
-    samples: Sequence[SampleRecord],
-    *,
-    dof_corrected: bool = False,
-) -> SurrogateModel:
+def fit(space: ParameterSpace, samples: Sequence[SampleRecord]) -> SurrogateModel:
     """Least-squares fit of the affine surrogate to evaluated samples.
 
     Args:
         space: the parameter box the samples live in.
         samples: records whose ``j_true`` is present.
-        dof_corrected: divide the residual sum of squares by (n - dim - 1)
-            instead of n when forming ``sigma``.
 
     Raises:
         FitError: fewer than dim+1 samples, a sample without an objective
@@ -88,17 +80,10 @@ def fit(
         )
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - design @ beta
-    if dof_corrected:
-        dof = n - d - 1
-        if dof < 1:
-            raise FitError(f"degrees-of-freedom corrected sigma needs more than {d + 1} samples")
-        sigma = float(np.sqrt(residuals @ residuals / dof))
-    else:
-        sigma = float(np.sqrt(residuals @ residuals / n))
     return SurrogateModel(
         space=space,
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
-        sigma=sigma,
+        sigma=float(np.sqrt(residuals @ residuals / n)),
         training_count=n,
     )

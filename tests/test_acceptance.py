@@ -51,7 +51,6 @@ def _multi_config(calibration, seed):
         pool_size=500_000,
         mode="multi",
         seed=seed,
-        n_confident=10,
         band_halfwidth_sigmas=20.0,
     )
 

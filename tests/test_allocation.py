@@ -148,7 +148,7 @@ def test_plan_allocation_spends_exactly_the_budget(strata, budget, prune_share):
     p1 = p1 / p1.sum()
     hits = np.rint(p1 * 1e6).astype(int)
     try:
-        plan = plan_allocation(p1, hits, p2, existing, budget, min_pool_hits=10, prune_share=prune_share)
+        plan = plan_allocation(p1, hits, p2, existing, budget, prune_share=prune_share)
     except AllocationError as exc:  # pruning left no weighted stratum
         assert budget > 0 and "weights are zero" in str(exc)
         return
@@ -183,7 +183,7 @@ def test_plan_allocation_prunes_thin_pool_strata():
     p1 = np.array([0.5, 0.3, 0.199999, 1e-6])
     hits = (p1 * 1_000_000).astype(int)
     p2 = np.array([0.5, 0.5, 0.5, 0.5])
-    plan = plan_allocation(p1, hits, p2, np.zeros(4, dtype=int), 10, min_pool_hits=10)
+    plan = plan_allocation(p1, hits, p2, np.zeros(4, dtype=int), 10)
     assert plan.weights[3] == 0.0
     assert plan.additional[3] == 0
     assert plan.additional.sum() == 10

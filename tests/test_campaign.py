@@ -1,4 +1,6 @@
 import filecmp
+import json
+import re
 import shutil
 import sys
 from dataclasses import fields
@@ -294,7 +296,6 @@ def test_evaluator_failure_threshold_aborts_preliminary():
             "command": [sys.executable, str(FIXTURES / "flaky_evaluator.py"), "garbage"],
         },
         preliminary_count=30,
-        failure_abort_fraction=0.2,
     )
     with pytest.raises(EvaluationThresholdError):
         run_preliminary(cfg)
@@ -315,12 +316,30 @@ def test_stop_rule_halts_early():
     cfg = small_config(iteration_budgets=(20, 10, 10), stop_unbiased_variance_below=1.0)
     state = run_campaign(cfg)
     assert state.iteration == 1  # threshold hit after the first iteration
+    # noise-free objective: after iteration 1 no sampled stratum is mixed, so both
+    # variances are exactly 0; that is no precision reached, and the campaign goes on
+    noise_free = small_config(
+        critical_value=0.93, evaluator={**SYNTH, "noise_scale": 0.0}, preliminary_count=20,
+        iteration_budgets=(20,) * 5, band_halfwidth_sigmas=20.0, seed=0, stop_unbiased_variance_below=1e-30,
+    )
+    state = run_campaign(noise_free)
+    assert state.estimates[0].unbiased_variance == state.estimates[0].biased_variance == 0.0
+    assert state.iteration == 5
 
 
 def test_config_round_trip_through_dict():
     cfg = small_config()
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_readme_configuration_names_exactly_the_config_fields():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.partition("A minimal configuration:")[2].partition("\n## ")[0]
+    example = json.loads(section.partition("```json")[2].partition("```")[0])
+    config_from_dict(example)
+    named = set(example) | set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
+    assert named == {f.name for f in fields(RunConfig)}
 
 
 @pytest.mark.parametrize("mode, budgets", [("single", (20,)), ("multi", (10, 10, 10))])
@@ -330,12 +349,13 @@ def test_campaign_starts_one_child_per_worker(spawned, tmp_path, mode, budgets):
     state = run_campaign(cfg, tmp_path / "r")
     assert state.iteration == len(budgets) and len(state.samples) == 40 + sum(budgets)
     assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+    assert state.evaluator.run_dir == str(tmp_path / "r")  # what each child got as ADASTRAT_RUN_DIR
 
 
 def test_campaign_ends_its_children_when_it_raises(spawned):
     flaky = [sys.executable, str(FIXTURES / "flaky_evaluator.py")]
     garbage = small_config(evaluator={"type": "external", "command": flaky + ["garbage"]},
-                           preliminary_count=30, failure_abort_fraction=0.2, parallelism=2)
+                           preliminary_count=30, parallelism=2)
     with pytest.raises(EvaluationThresholdError) as raised:
         run_campaign(garbage)
     # ended by run_campaign itself: the traceback it raised with still holds its state

@@ -87,6 +87,11 @@ def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, 
     assert report["iterations"] == 3
 
 
+#: The keys of settings that are now fixed, at the values older config.json files hold.
+RETIRED = {"n_confident": 10, "min_pool_hits": 10, "per_stratum_cap": 10_000_000,
+           "evaluation_timeout": 3600.0, "failure_abort_fraction": 0.2, "sigma_dof_corrected": False}
+
+
 def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mode": "sideways"}))
@@ -105,6 +110,12 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         {"allocation_prune_share": 1.0},
         {"allocation_prune_share": -0.1},
         {"per_stratum_cap": 0},
+        # the other retired keys, each at a value other than its fixed one
+        {"n_confident": 5},
+        {"min_pool_hits": 0},
+        {"failure_abort_fraction": 0.5},
+        {"sigma_dof_corrected": True},
+        {"sigma_dof_corrected": 0},
         # wrongly typed or non-finite settings too
         {"inner_strata": 20.5},
         {"preliminary_count": True},
@@ -116,12 +127,37 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         {"evaluator": {**external, "timeout": "abc"}},
         # unknown evaluator keys, like unknown top-level ones
         {"evaluator": {"type": "synthetic", "noise": 0.3}},
+        # product designs whose counts multiply to preliminary_count but are no design
+        {"preliminary_count": 10, "preliminary_design": {"type": "product", "counts": {"geom": 2, "flow": 5}}},
+        {"preliminary_count": 10, "preliminary_design": {"type": "product",
+                                                         "counts": {"geometry": -2, "freestream": -5}}},
     ]):
         bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
         run_dir = tmp_path / f"numeric{k}"
-        assert main(["run", "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
+        assert main(["init", "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
         assert "configuration error" in capsys.readouterr().err
+        assert not (run_dir / "config.json").exists()
+        assert main(["run", "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert all(key in err for key in change if key in RETIRED), err
+        if "evaluation_timeout" in change:
+            assert "evaluator block's timeout" in err
         assert not (run_dir / "samples.tsv").exists()
+
+
+def test_retired_keys_resume_at_their_fixed_values(tmp_path, config_path):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({**json.loads(config_path.read_text()), **RETIRED}))
+    assert main(["run", "--config", str(legacy), "--run-dir", str(tmp_path / "full")]) == 0
+    # a run dir as older code left it, stopped after its first commit
+    stopped = tmp_path / "stopped"
+    run_preliminary(load_config(config_path), stopped)
+    (stopped / "config.json").write_text(json.dumps({**json.loads((stopped / "config.json").read_text()), **RETIRED}))
+    assert main(["run", "--config", str(legacy), "--run-dir", str(stopped)]) == 0
+    skip = {"config.json", "run.log"}
+    full = {p.relative_to(tmp_path / "full"): b for p, b in _tree(tmp_path / "full").items() if p.name not in skip}
+    assert {p.relative_to(stopped): b for p, b in _tree(stopped).items() if p.name not in skip} == full
 
 
 def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):

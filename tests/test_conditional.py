@@ -175,7 +175,7 @@ def test_mix_p2_is_convex_combination(obs, pred, count, n_confident):
 
 def test_build_conditional_table_shapes():
     strata = build_strata(0.9, 0.01, 10)
-    table = build_conditional_table(strata, np.array([0.9005, 0.9005]), np.array([0.95, 0.80]), 0.9, 10)
+    table = build_conditional_table(strata, np.array([0.9005, 0.9005]), np.array([0.95, 0.80]), 0.9)
     assert table.counts.sum() == 2
     i = strata.bin_many(0.9005)
     assert table.exceed_counts[i] == 1

@@ -78,20 +78,20 @@ def test_oracle_probability_extreme_critical_values():
 
 def test_evaluate_batch_empty_and_parallel_determinism():
     obj = SyntheticObjective(noise_scale=0.02, seed=1)
-    assert evaluate_batch(obj, [], parallelism=4).results == []
+    assert evaluate_batch(obj, []).results == []
     ws = sample_uniform(DEFAULT_SPACE, substream(3, "batch"), 10)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    one = evaluate_batch(obj, reqs, parallelism=1)
-    eight = evaluate_batch(obj, reqs, parallelism=8)
-    assert [r.objective for r in one.results] == [r.objective for r in eight.results]
-    assert [r.id for r in one.results] == list(range(10))
+    forward = evaluate_batch(obj, reqs)
+    backward = evaluate_batch(obj, reqs[::-1])
+    assert [r.objective for r in forward.results] == [r.objective for r in backward.results]
+    assert [r.id for r in forward.results] == list(range(10))
 
 
-def _external(mode=None, timeout=20.0):
+def _external(mode=None, timeout=20.0, parallelism=1):
     cmd = [sys.executable, str(FIXTURES / "flaky_evaluator.py")]
     if mode:
         cmd.append(mode)
-    return closing(ExternalEvaluator(command=cmd, timeout=timeout))
+    return closing(ExternalEvaluator(command=cmd, timeout=timeout, parallelism=parallelism))
 
 
 def _requests(n, key):
@@ -103,8 +103,8 @@ def test_external_echo_script_matches_direct_computation():
     # the script replies with the plain sum of the parameter values
     ws = sample_uniform(DEFAULT_SPACE, substream(4, "echo"), 12)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    with _external("none") as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=3)
+    with _external("none", parallelism=3) as evaluator:
+        out = evaluate_batch(evaluator, reqs)
     assert not out.failures
     got = np.array([r.objective for r in out.results])
     np.testing.assert_allclose(got, ws.sum(axis=1), rtol=0, atol=1e-12)
@@ -113,9 +113,10 @@ def test_external_echo_script_matches_direct_computation():
 def test_external_multiset_independent_of_parallelism():
     ws = sample_uniform(DEFAULT_SPACE, substream(5, "multi"), 9)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    with _external("none") as evaluator:  # slot 0's child serves both batches
-        seq = evaluate_batch(evaluator, reqs, parallelism=1)
-        par = evaluate_batch(evaluator, reqs, parallelism=4)
+    with _external("none") as evaluator:
+        seq = evaluate_batch(evaluator, reqs)
+    with _external("none", parallelism=4) as evaluator:
+        par = evaluate_batch(evaluator, reqs)
     assert [(r.id, r.objective) for r in seq.results] == [(r.id, r.objective) for r in par.results]
 
 
@@ -123,7 +124,7 @@ def test_external_garbage_replies_fail_only_their_requests():
     ws = sample_uniform(DEFAULT_SPACE, substream(6, "garbage"), 9)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("garbage") as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     assert sorted(f.id for f in out.failures) == [0, 3, 6]
     assert sorted(r.id for r in out.results) == [1, 2, 4, 5, 7, 8]
 
@@ -132,7 +133,7 @@ def test_external_crash_restarts_and_continues():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "crash"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("crash") as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     assert len(out.failures) >= 1
     assert len(out.results) + len(out.failures) == 6
 
@@ -141,7 +142,7 @@ def test_external_failure_reason_carries_the_stderr_tail():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "stderr"), 4)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("stderr") as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     # each child answers one request and dies on the next: requests 1 and 3 fail
     assert [f.id for f in out.failures] == [1, 3]
     for f in out.failures:
@@ -151,7 +152,7 @@ def test_external_failure_reason_carries_the_stderr_tail():
         assert len(tail.encode()) <= 2048 and tail.startswith("x")
     # a child that wrote nothing to stderr adds nothing
     with _external("garbage") as evaluator:
-        out = evaluate_batch(evaluator, reqs[:1], parallelism=1)
+        out = evaluate_batch(evaluator, reqs[:1])
     assert out.failures[0].reason == "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
 
 
@@ -159,7 +160,7 @@ def test_external_timeout_reported_per_request():
     ws = sample_uniform(DEFAULT_SPACE, substream(8, "hang"), 3)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("hang", timeout=1.0) as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     assert sorted(f.id for f in out.failures) == [0, 2]
     assert "Timeout" in out.failures[0].reason
     assert [r.id for r in out.results] == [1]
@@ -169,7 +170,7 @@ def test_external_wrong_id_detected():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "wrong"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("wrong-id") as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     assert sorted(f.id for f in out.failures) == [0, 5]
 
 
@@ -181,7 +182,7 @@ def test_external_wrong_id_detected():
 def test_external_malformed_replies_fail_only_their_requests(mode, bad):
     reqs = _requests(12, mode)
     with _external(mode) as evaluator:
-        out = evaluate_batch(evaluator, reqs, parallelism=1)
+        out = evaluate_batch(evaluator, reqs)
     assert [f.id for f in out.failures] == bad
     assert [r.id for r in out.results] == [i for i in range(12) if i not in bad]
     assert all(f.reason.startswith("OSError: ") for f in out.failures)
@@ -189,9 +190,9 @@ def test_external_malformed_replies_fail_only_their_requests(mode, bad):
 
 def test_external_children_serve_every_batch(spawned):
     reqs = _requests(10, "batches")
-    with _external("none") as evaluator:
-        first = evaluate_batch(evaluator, reqs[:5], parallelism=2)
-        second = evaluate_batch(evaluator, reqs[5:], parallelism=2)
+    with _external("none", parallelism=2) as evaluator:
+        first = evaluate_batch(evaluator, reqs[:5])
+        second = evaluate_batch(evaluator, reqs[5:])
         assert len(spawned) == 2 and all(p.poll() is None for p in spawned)
     assert not first.failures and not second.failures
     assert [r.id for r in first.results + second.results] == list(range(10))
@@ -200,29 +201,19 @@ def test_external_children_serve_every_batch(spawned):
 
 def test_external_dead_child_is_replaced_before_the_next_batch(spawned):
     reqs = _requests(8, "replaced")
-    with _external("none") as evaluator:
-        evaluate_batch(evaluator, reqs[:4], parallelism=2)
+    with _external("none", parallelism=2) as evaluator:
+        evaluate_batch(evaluator, reqs[:4])
         spawned[0].kill()
         spawned[0].wait(timeout=10)
-        out = evaluate_batch(evaluator, reqs[4:], parallelism=2)
+        out = evaluate_batch(evaluator, reqs[4:])
     assert not out.failures and [r.id for r in out.results] == [4, 5, 6, 7]
     assert len(spawned) == 3
-
-
-def test_external_child_is_kept_for_its_own_run_dir_only(spawned, tmp_path):
-    reqs = _requests(6, "run-dir")
-    with _external("none") as evaluator:
-        evaluate_batch(evaluator, reqs[:2], parallelism=1, run_dir=str(tmp_path / "a"))
-        evaluate_batch(evaluator, reqs[2:4], parallelism=1, run_dir=str(tmp_path / "a"))
-        assert len(spawned) == 1
-        evaluate_batch(evaluator, reqs[4:], parallelism=1, run_dir=str(tmp_path / "b"))
-        assert len(spawned) == 2 and spawned[0].poll() is not None
 
 
 def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch):
     reqs = _requests(4, "escape")
     with _external("none") as evaluator:
-        evaluate_batch(evaluator, reqs[:2], parallelism=1)
+        evaluate_batch(evaluator, reqs[:2])
 
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -230,16 +221,36 @@ def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch
         with monkeypatch.context() as m:
             m.setattr(ExternalEvaluator, "_read_reply", interrupted)
             with pytest.raises(KeyboardInterrupt):
-                evaluate_batch(evaluator, reqs[2:3], parallelism=1)
+                evaluate_batch(evaluator, reqs[2:3])
         assert spawned[0].poll() is not None
-        out = evaluate_batch(evaluator, reqs[3:], parallelism=1)
+        out = evaluate_batch(evaluator, reqs[3:])
     assert not out.failures and len(spawned) == 2
 
 
 def test_external_children_of_a_dropped_evaluator_are_ended(spawned):
-    evaluator = ExternalEvaluator(command=[sys.executable, str(FIXTURES / "flaky_evaluator.py"), "none"])
-    evaluate_batch(evaluator, _requests(4, "dropped"), parallelism=2)
+    evaluator = ExternalEvaluator(command=[sys.executable, str(FIXTURES / "flaky_evaluator.py"), "none"],
+                                  parallelism=2)
+    evaluate_batch(evaluator, _requests(4, "dropped"))
     assert all(p.poll() is None for p in spawned)
     del evaluator
     gc.collect()
     assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
+def test_external_children_get_the_run_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("ADASTRAT_RUN_DIR", raising=False)
+    # the solver replies with the length of the run dir it was given
+    reply = ("import json, os, sys\n"
+             "for line in sys.stdin:\n"
+             "    rid = json.loads(line)['id']\n"
+             "    print(json.dumps({'id': rid, 'objective': len(os.environ.get('ADASTRAT_RUN_DIR', ''))}), flush=True)")
+    for run_dir, expected in ((str(tmp_path), len(str(tmp_path))), (None, 0)):
+        with closing(ExternalEvaluator(command=[sys.executable, "-c", reply], parallelism=2, run_dir=run_dir)) as ev:
+            out = evaluate_batch(ev, _requests(4, "run-dir"))
+        assert [r.objective for r in out.results] == [expected] * 4
+
+
+def test_external_evaluator_refuses_parallelism_below_one():
+    for parallelism in (0, -1):
+        with pytest.raises(ConfigError, match="parallelism"):
+            ExternalEvaluator(command=["true"], parallelism=parallelism)

@@ -67,15 +67,6 @@ def test_sigma_equals_rms_of_residuals():
     assert model.sigma == pytest.approx(float(np.sqrt(np.mean(resid**2))), abs=1e-12)
 
 
-def test_sigma_dof_corrected_variant():
-    ws = sample_uniform(DEFAULT_SPACE, substream(6, "dof"), 40)
-    y = 0.2 + 0.4 * DEFAULT_SPACE.normalize_many(ws)[:, 3] ** 2
-    samples = records(DEFAULT_SPACE, ws, y)
-    plain = fit(DEFAULT_SPACE, samples)
-    corrected = fit(DEFAULT_SPACE, samples, dof_corrected=True)
-    assert corrected.sigma == pytest.approx(plain.sigma * np.sqrt(40 / (40 - 7)), rel=1e-12)
-
-
 def test_refit_is_bit_identical():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "bit"), 25)
     y = 0.1 + DEFAULT_SPACE.normalize_many(ws)[:, 0]
