@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Write five fixed run directories for comparing two checkouts byte for byte.
+"""Write seven fixed run directories for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
-writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate and DIR/external:
+writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate, DIR/external,
+DIR/product and DIR/stopped:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -16,7 +17,12 @@ writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate and DIR/externa
   evaluations, 10^5 pool) at seed 3, through two children of
   ``tests/fixtures/external_objective.py``. The command names the solver by
   its path from the repo root, the working directory of the run, so
-  ``config.json`` does not depend on where the checkout lives.
+  ``config.json`` does not depend on where the checkout lives;
+- ``product``: a 4 x 4 product preliminary design (multi, 16 + 20 + 10
+  evaluations) at seed 2;
+- ``stopped``: a multi campaign (30 + 20 + 10 + 10 evaluations, noise 0.05)
+  whose stop rule ends it after its first iteration, at seed 1; the campaign
+  is run twice on the same directory, and the second run must change nothing.
 
 Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
@@ -59,6 +65,16 @@ CASES = {
         evaluator={"type": "external", "command": [sys.executable, "tests/fixtures/external_objective.py"],
                    "timeout": 60.0},
     ),
+    "product": RunConfig(
+        **REFERENCE, preliminary_count=16, iteration_budgets=(20, 10), inner_strata=20,
+        preliminary_design={"type": "product", "counts": {"geometry": 4, "freestream": 4}},
+        pool_size=100_000, mode="multi", seed=2,
+    ),
+    "stopped": RunConfig(
+        critical_value=REFERENCE["critical_value"], evaluator={**REFERENCE["evaluator"], "noise_scale": 0.05},
+        preliminary_count=30, iteration_budgets=(20, 10, 10), inner_strata=20, pool_size=100_000,
+        mode="multi", seed=1, stop_unbiased_variance_below=1.0,
+    ),
 }
 
 
@@ -80,6 +96,8 @@ def main() -> int:
                 write_report(state)
         else:
             run_campaign(config, run_dir)
+            if name == "stopped":  # a re-run of a stopped campaign
+                run_campaign(config, run_dir)
         print(f"wrote {run_dir}")
     return 0
 

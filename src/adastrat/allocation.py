@@ -22,11 +22,14 @@ from .surrogate import SurrogateModel
 # from it take 192 KiB, which stays in a 2 MiB L2. The search stops after the
 # first batch that fills every quota, and the last kept row usually sits a few
 # thousand rows into the stream, so a small batch also draws little past it.
-# ``per_stratum_cap`` is checked once per batch, that is every 4,096 rows.
+# The per-stratum cap is checked once per batch, that is every 4,096 rows.
 _SEARCH_BATCH = 1 << 12
 
 #: Pool draws a stratum's occupancy estimate needs before the plan gives it samples.
 MIN_POOL_HITS = 10
+
+#: Search draws per requested sample after which an unfilled stratum is given up.
+PER_STRATUM_CAP = 10_000_000
 
 
 def optimal_weights(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -192,7 +195,7 @@ def select_candidates(
     model: SurrogateModel,
     additional: np.ndarray,
     rng: np.random.Generator,
-    per_stratum_cap: int = 10_000_000,
+    per_stratum_cap: int = PER_STRATUM_CAP,
 ) -> list[tuple[int, np.ndarray]]:
     """Rejection-sample parameter vectors until each stratum quota is filled.
 

@@ -29,7 +29,7 @@ from .conditional import ConditionalTable, build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, config_from_dict
 from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate
-from .evaluators import EvaluationRequest, evaluate_batch
+from .evaluators import FAILURE_ABORT_FRACTION, EvaluationRequest, evaluate_batch
 from .rng import substream
 from .space import SampleRecord, sample_product, sample_uniform
 from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights
@@ -37,9 +37,6 @@ from .surrogate import SurrogateModel, fit
 
 #: Version of the run-directory layout that ``state.json`` commits.
 STATE_FORMAT = 2
-
-#: The preliminary batch aborts when more than this share of it fails.
-FAILURE_ABORT_FRACTION = 0.2
 
 
 @dataclass
@@ -95,7 +92,7 @@ def _fit_and_stratify(state: RunState) -> None:
 
 def _estimate(state: RunState) -> RareEventEstimate:
     """The stratified estimate from every sample, binned under the current model."""
-    counts, _, p2_obs = observe_p2(state.strata, *state.observations(), state.config.critical_value)
+    counts, _, p2_obs = observe_p2(state.strata, *state.observations())
     return build_estimate(state.weights, state.strata, counts, p2_obs)
 
 
@@ -202,7 +199,7 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     plan: Optional[AllocationPlan] = None
     refit_happened = False
     if budget > 0:
-        table = build_conditional_table(state.strata, *state.observations(), cfg.critical_value)
+        table = build_conditional_table(state.strata, *state.observations())
         p2_for_allocation = table.p2_pred if cfg.mode == "single" else table.p2_mix
         plan = plan_allocation(
             state.weights.p1, state.weights.hits(), p2_for_allocation, table.counts, budget,
@@ -220,6 +217,20 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     return state
 
 
+def _stop_rule_met(state: RunState) -> bool:
+    threshold = state.config.stop_unbiased_variance_below
+    # exactly 0 means no sampled stratum is mixed (say, a noise-free objective), not precision
+    return threshold is not None and bool(state.estimates) and 0 < state.estimates[-1].unbiased_variance < threshold
+
+
+def next_budget(state: RunState) -> Optional[int]:
+    """The next configured budget; none once they are spent or the last estimate meets the stop rule."""
+    budgets = state.config.iteration_budgets
+    if state.iteration >= len(budgets) or _stop_rule_met(state):
+        return None
+    return budgets[state.iteration]
+
+
 def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
     """Preliminary batch plus every configured budget; a run dir is resumed under its stored config only."""
     resume = run_dir is not None and (Path(run_dir) / "state.json").exists()
@@ -233,21 +244,23 @@ def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
                                   "resume it with its stored config")
         else:
             _preliminary(state)
-        for budget in state.config.iteration_budgets[state.iteration :]:
+        while (budget := next_budget(state)) is not None:
             run_iteration(state, budget)
-            threshold = state.config.stop_unbiased_variance_below
-            # exactly 0 means no sampled stratum is mixed (say, a noise-free objective), not precision
-            if threshold is not None and 0 < state.estimates[-1].unbiased_variance < threshold:
-                if run_dir is not None:
-                    persist.append_log(
-                        Path(run_dir),
-                        f"stopping after iteration {state.iteration}: unbiased variance "
-                        f"{state.estimates[-1].unbiased_variance!r} below threshold {threshold!r}",
-                    )
-                break
+            if run_dir is not None and _stop_rule_met(state):
+                persist.append_log(Path(run_dir), f"stopping after iteration {state.iteration}: unbiased variance "
+                                   f"{state.estimates[-1].unbiased_variance!r} below threshold "
+                                   f"{state.config.stop_unbiased_variance_below!r}")
         if run_dir is not None:
             write_report(state)
     return state
+
+
+def _read(reader, path: Path, *args):
+    """``reader(path, *args)``; a missing or unparseable file is a ConfigError that names it."""
+    try:
+        return reader(path, *args)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def load_state(run_dir: Path) -> RunState:
@@ -256,21 +269,21 @@ def load_state(run_dir: Path) -> RunState:
     if not (run_dir / "state.json").exists():
         problem = "holds no committed campaign; start it with `run`" if run_dir.is_dir() else "does not exist"
         raise ConfigError(f"run directory {run_dir} {problem}")
-    doc = persist.read_doc(run_dir / "state.json")
+    doc = _read(persist.read_doc, run_dir / "state.json")
     if doc.get("format") != STATE_FORMAT:
         raise ConfigError(f"run directory {run_dir} has state format {doc.get('format', 1)}, "
                           f"not {STATE_FORMAT}")
-    config = config_from_dict(persist.read_doc(run_dir / "config.json"))
+    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"))
     state = RunState(config=config, run_dir=run_dir)
     state.iteration = int(doc["iterations_completed"])
     state.next_id = int(doc["next_id"])
-    state.samples = persist.read_samples(run_dir / "samples.tsv", config.space.names, int(doc["samples"]))
+    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, int(doc["samples"]))
     # Only the weights are read back (their pool is costly), from the last refit: the
     # preliminary one in single mode, in multi mode the newest iteration that added samples
     # (not a newer weights.tsv an uncommitted attempt left). The rest is recomputed.
     k = max(s.iteration for s in state.samples) if config.mode == "multi" else 0
     state.model, state.strata = _model_and_strata(config, [s for s in state.samples if s.iteration <= k])
-    state.weights = persist.read_weights(persist.iter_dir(run_dir, k) / "weights.tsv")
+    state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv")
     if state.iteration > 0:
         state.estimates.append(_estimate(state))
     return state
@@ -283,17 +296,7 @@ def final_report(state: RunState) -> dict:
     est = state.estimates[-1]
     total = state.total_evaluations()
     ratio = None if est.mc_equivalent is None else est.mc_equivalent / total
-    return {
-        "probability": est.probability,
-        "biased_variance": est.biased_variance,
-        "unbiased_variance": est.unbiased_variance,
-        "ci95": [est.ci95[0], est.ci95[1]],
-        "mc_equivalent": est.mc_equivalent,
-        "p1_standard_error": est.p1_standard_error,
-        "total_evaluations": total,
-        "iterations": state.iteration,
-        "efficiency_ratio": ratio,
-    }
+    return {**est.summary(), "total_evaluations": total, "iterations": state.iteration, "efficiency_ratio": ratio}
 
 
 def render_report(report: dict) -> str:

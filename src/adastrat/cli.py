@@ -29,6 +29,7 @@ from .campaign import (
     final_report,
     init_run_dir,
     load_state,
+    next_budget,
     render_report,
     run_campaign,
     run_iteration,
@@ -36,7 +37,7 @@ from .campaign import (
 )
 from .config import build_evaluator, load_config, with_overrides
 from .errors import AllocationError, ConfigError, EvaluationThresholdError
-from .estimator import confidence_interval
+from .estimator import confidence_interval, stratified_variance
 from .evaluators import EvaluationRequest, evaluate_batch, oracle_probability
 from .rng import substream
 from .space import sample_uniform
@@ -132,15 +133,9 @@ def _cmd_run(args) -> int:
 def _cmd_iterate(args) -> int:
     with _sole_writer(args.run_dir, create=False):
         state = load_state(args.run_dir)
-        if args.budget is not None:
-            budget = args.budget
-        else:
-            budgets = state.config.iteration_budgets
-            if state.iteration >= len(budgets):
-                raise ConfigError(
-                    f"all {len(budgets)} configured budgets are consumed; pass --budget explicitly"
-                )
-            budget = budgets[state.iteration]
+        budget = args.budget if args.budget is not None else next_budget(state)
+        if budget is None:
+            raise ConfigError("no configured budget is left (spent, or the stop rule is met); pass --budget explicitly")
         with closing(state.evaluator):  # its children end before the lock is released
             run_iteration(state, budget)
         sys.stdout.write(render_report(write_report(state)))
@@ -166,8 +161,8 @@ def _cmd_compare_mc(args) -> int:
     if n == 0:
         raise EvaluationThresholdError("every baseline evaluation failed")
     p = float((values > config.critical_value).mean())
-    var = p * (1.0 - p) / n
-    lo, hi = confidence_interval(p, p * (1.0 - p) / max(n - 1, 1))
+    var, unbiased = (stratified_variance([1.0], [p], [n], ddof) for ddof in (0, 1))  # naive MC: one stratum
+    lo, hi = confidence_interval(p, unbiased)
     print(
         json.dumps(
             {

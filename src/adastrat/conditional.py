@@ -58,12 +58,11 @@ def observe_p2(
     strata: StratumSet,
     j_tilde: np.ndarray,
     j_true: np.ndarray,
-    critical_value: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical exceedance per stratum from the samples' surrogate and true values.
 
     Returns (counts, exceed_counts, p2_obs); strata without samples carry NaN
-    in ``p2_obs``. Exceedance is strict (j_true > critical_value).
+    in ``p2_obs``. Exceedance is strict (j_true > strata.critical_value).
     """
     j_true = np.asarray(j_true, dtype=float)
     missing = np.flatnonzero(np.isnan(j_true))
@@ -72,7 +71,7 @@ def observe_p2(
     idx = strata.bin_many(j_tilde)
     n = strata.n_strata
     counts = np.bincount(idx, minlength=n)
-    exceed = np.bincount(idx[j_true > critical_value], minlength=n)
+    exceed = np.bincount(idx[j_true > strata.critical_value], minlength=n)
     p2 = np.full(n, np.nan)
     seen = counts > 0
     p2[seen] = exceed[seen] / counts[seen]
@@ -115,10 +114,9 @@ def build_conditional_table(
     strata: StratumSet,
     j_tilde: np.ndarray,
     j_true: np.ndarray,
-    critical_value: float,
 ) -> ConditionalTable:
     pred = predict_p2(strata)
-    counts, exceed, obs = observe_p2(strata, j_tilde, j_true, critical_value)
+    counts, exceed, obs = observe_p2(strata, j_tilde, j_true)
     mix = mix_p2(obs, pred, counts, N_CONFIDENT)
     return ConditionalTable(
         p2_pred=pred,

@@ -3,21 +3,23 @@
 A config is a plain JSON document; numeric defaults follow the reference
 campaign (100 preliminary cases, one 99-case adaptive iteration, a 100-bin
 band of halfwidth 10 sigma, a ten-million-draw occupancy pool). Settings no
-campaign varies are constants where they are used; their retired keys load only at that value.
+campaign varies are plain constants of the module that uses them; ``_RETIRED``
+maps each retired key to that value, the only one it still loads at. A
+preliminary design must leave the fit a residual: ``validate`` wants d + 2
+points and, per product group, its number of dimensions + 1 draws.
 """
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .allocation import MIN_POOL_HITS, select_candidates
+from .allocation import MIN_POOL_HITS, PER_STRATUM_CAP
 from .conditional import N_CONFIDENT
 from .errors import ConfigError
-from .evaluators import DEFAULT_TIMEOUT, ExternalEvaluator, SyntheticObjective
+from .evaluators import DEFAULT_TIMEOUT, FAILURE_ABORT_FRACTION, ExternalEvaluator, SyntheticObjective
 from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace, product_rows
 
 MODES = ("single", "multi")
@@ -76,9 +78,9 @@ class RunConfig:
         for name in ("evaluator", "preliminary_design"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
-        if self.preliminary_count < self.space.dim + 1:
+        if self.preliminary_count < self.space.dim + 2:
             raise ConfigError(
-                f"preliminary_count must be at least dim+1 = {self.space.dim + 1}, "
+                f"preliminary_count must be at least dim+2 = {self.space.dim + 2}, "
                 f"got {self.preliminary_count}"
             )
         if len(self.iteration_budgets) == 0:
@@ -105,6 +107,9 @@ class RunConfig:
             if not isinstance(counts, dict):
                 raise ConfigError("product design needs a 'counts' mapping of group -> draws")
             total = product_rows(self.space, counts)
+            thin = [g for g, cols in self.space.groups().items() if counts[g] < len(cols) + 1]
+            if thin:
+                raise ConfigError(f"product design groups {thin} need at least their number of dimensions + 1 draws")
             if total != self.preliminary_count:
                 raise ConfigError(
                     f"product design counts multiply to {total}, "
@@ -115,31 +120,25 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         doc = asdict(self)
-        doc["space"] = [
-            {"name": d.name, "min": d.min, "max": d.max, "group": d.group}
-            for d in self.space.dims
-        ]
+        doc["space"] = self.space.to_list()
         doc["iteration_budgets"] = list(self.iteration_budgets)
         return doc
 
 
-def _retired() -> dict[str, Any]:
-    """Keys of settings that are now fixed, each with the one value it may still hold."""
-    from .campaign import FAILURE_ABORT_FRACTION  # campaign imports this module
-
-    return {
-        "n_confident": N_CONFIDENT,
-        "min_pool_hits": MIN_POOL_HITS,
-        "per_stratum_cap": inspect.signature(select_candidates).parameters["per_stratum_cap"].default,
-        "failure_abort_fraction": FAILURE_ABORT_FRACTION,
-        "evaluation_timeout": DEFAULT_TIMEOUT,
-        "sigma_dof_corrected": False,
-    }
+#: Keys of settings that are now fixed, each with the one value it may still hold.
+_RETIRED = {
+    "n_confident": N_CONFIDENT,
+    "min_pool_hits": MIN_POOL_HITS,
+    "per_stratum_cap": PER_STRATUM_CAP,
+    "failure_abort_fraction": FAILURE_ABORT_FRACTION,
+    "evaluation_timeout": DEFAULT_TIMEOUT,
+    "sigma_dof_corrected": False,
+}
 
 
 def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     doc = dict(doc)
-    for key, fixed in _retired().items():
+    for key, fixed in _RETIRED.items():
         value = doc.pop(key, fixed)
         if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
             where = "; set the evaluator block's timeout instead" if key == "evaluation_timeout" else ""

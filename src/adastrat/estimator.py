@@ -2,8 +2,9 @@
 
 The stratum weights are treated as known constants (the pool behind them is
 huge); all reported variance comes from the per-stratum conditional
-probabilities. Their separate Monte Carlo error is surfaced as
-``p1_standard_error`` so the assumption stays inspectable.
+probabilities, through ``stratified_variance``, the one variance path. Their
+separate Monte Carlo error is surfaced as ``p1_standard_error`` so the
+assumption stays inspectable.
 """
 from __future__ import annotations
 
@@ -33,9 +34,11 @@ def estimate(p1: np.ndarray, p2: np.ndarray) -> float:
     return float(p1 @ p2)
 
 
-def biased_variance(p1: np.ndarray, p2: np.ndarray, counts: np.ndarray) -> float:
-    """sum over strata of p1_i^2 * p2_i * (1 - p2_i) / N_i.
+def stratified_variance(p1: np.ndarray, p2: np.ndarray, counts: np.ndarray, ddof: int = 0) -> float:
+    """sum over strata of p1_i^2 * p2_i * (1 - p2_i) / (N_i - ddof).
 
+    ``ddof`` 0 gives the biased variance, 1 the unbiased one, which skips
+    strata with N_i < 2; naive Monte Carlo is the one stratum ``p1 = [1]``.
     Strata with p2 at exactly 0 or 1 contribute nothing regardless of their
     counts (hard-extrapolated strata are legal zero-variance contributors);
     a stratum with spread but no samples is a contract violation.
@@ -50,20 +53,10 @@ def biased_variance(p1: np.ndarray, p2: np.ndarray, counts: np.ndarray) -> float
             f"stratum {int(np.flatnonzero(starved)[0])} has conditional probability "
             f"strictly between 0 and 1 but no samples"
         )
-    if not active.any():
-        return 0.0
-    return float(np.sum(p1[active] ** 2 * p2[active] * (1.0 - p2[active]) / counts[active]))
-
-
-def unbiased_variance(p1: np.ndarray, p2: np.ndarray, counts: np.ndarray) -> float:
-    """Like the biased variance but with divisor N_i - 1; single-sample strata are skipped."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    counts = np.asarray(counts)
-    ok = (p2 > 0.0) & (p2 < 1.0) & (counts >= 2)
+    ok = active & (counts > ddof)
     if not ok.any():
         return 0.0
-    return float(np.sum(p1[ok] ** 2 * p2[ok] * (1.0 - p2[ok]) / (counts[ok] - 1)))
+    return float(np.sum(p1[ok] ** 2 * p2[ok] * (1.0 - p2[ok]) / (counts[ok] - ddof)))
 
 
 def confidence_interval(probability: float, unbiased_var: float) -> tuple[float, float]:
@@ -110,6 +103,17 @@ class RareEventEstimate:
     counts: np.ndarray
     contribution: np.ndarray
 
+    def summary(self) -> dict:
+        """The scalar fields, as ``estimate.json`` holds them."""
+        return {
+            "probability": self.probability,
+            "biased_variance": self.biased_variance,
+            "unbiased_variance": self.unbiased_variance,
+            "ci95": [self.ci95[0], self.ci95[1]],
+            "mc_equivalent": self.mc_equivalent,
+            "p1_standard_error": self.p1_standard_error,
+        }
+
 
 def build_estimate(
     weights: StratumWeights,
@@ -121,8 +125,8 @@ def build_estimate(
     p2 = hard_tail_p2(strata, counts, p2_obs)
     p1 = weights.p1
     prob = estimate(p1, p2)
-    bvar = biased_variance(p1, p2, counts)
-    uvar = unbiased_variance(p1, p2, counts)
+    bvar = stratified_variance(p1, p2, counts)
+    uvar = stratified_variance(p1, p2, counts, ddof=1)
     ci = confidence_interval(prob, uvar)
     mc = naive_mc_equivalent(prob, bvar) if 0.0 < prob < 1.0 and bvar > 0.0 else None
     p1_se = float(np.sqrt(np.sum(p2**2 * weights.variance)))

@@ -31,6 +31,9 @@ RUN_DIR_ENV = "ADASTRAT_RUN_DIR"
 #: Seconds an external evaluator waits for each reply, unless its config block sets ``timeout``.
 DEFAULT_TIMEOUT = 3600.0
 
+#: A campaign's preliminary batch aborts when more than this share of it fails.
+FAILURE_ABORT_FRACTION = 0.2
+
 SYNTHETIC_KINDS = ("quadratic", "linear")
 
 

@@ -129,10 +129,7 @@ def write_model(path: Path, model: SurrogateModel) -> None:
     write_doc(
         path,
         {
-            "dims": [
-                {"name": d.name, "min": d.min, "max": d.max, "group": d.group}
-                for d in model.space.dims
-            ],
+            "dims": model.space.to_list(),
             "intercept": model.intercept,
             "coefficients": [float(c) for c in model.coefficients],
             "sigma": model.sigma,
@@ -142,21 +139,17 @@ def write_model(path: Path, model: SurrogateModel) -> None:
 
 
 def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> None:
-    rows = [
-        [i, strata.lower(i), strata.upper(i), weights.p1[i], weights.variance[i]]
-        for i in range(strata.n_strata)
-    ]
+    variance = weights.variance
+    rows = [[i, strata.lower(i), strata.upper(i), weights.p1[i], variance[i]] for i in range(strata.n_strata)]
     head = f"# pool_size\t{weights.pool_size}\nstratum\tlower\tupper\tp1\tvariance\n"
     atomic_write_text(path, head + "".join(_line(row) for row in rows))
 
 
 def read_weights(path: Path) -> StratumWeights:
-    """The weights alone; the ``lower``/``upper`` edges are for the reader."""
+    """The weights alone; the ``lower``/``upper`` edges and the ``variance`` are for the reader."""
     lines = path.read_text().splitlines()
-    rows = [line.split("\t") for line in lines[2:]]
-    p1 = np.array([float(r[3]) for r in rows])
-    variance = np.array([float(r[4]) for r in rows])
-    return StratumWeights(p1=p1, pool_size=int(lines[0].split("\t")[1]), variance=variance)
+    p1 = np.array([float(line.split("\t")[3]) for line in lines[2:]])
+    return StratumWeights(p1=p1, pool_size=int(lines[0].split("\t")[1]))
 
 
 # -- per-iteration tables ----------------------------------------------------
@@ -180,17 +173,7 @@ def write_allocation(path: Path, plan: AllocationPlan) -> None:
 
 
 def write_estimate(dir_path: Path, strata: StratumSet, est: RareEventEstimate) -> None:
-    write_doc(
-        dir_path / "estimate.json",
-        {
-            "probability": est.probability,
-            "biased_variance": est.biased_variance,
-            "unbiased_variance": est.unbiased_variance,
-            "ci95": [est.ci95[0], est.ci95[1]],
-            "mc_equivalent": est.mc_equivalent,
-            "p1_standard_error": est.p1_standard_error,
-        },
-    )
+    write_doc(dir_path / "estimate.json", est.summary())
     header = ["stratum", "lower", "upper", "p1", "p2", "count", "contribution"]
     rows = [
         [i, strata.lower(i), strata.upper(i), est.p1[i], est.p2[i], est.counts[i], est.contribution[i]]

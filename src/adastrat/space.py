@@ -82,6 +82,10 @@ class ParameterSpace:
     def denormalize_many(self, us: np.ndarray) -> np.ndarray:
         return self.lows() + np.atleast_2d(np.asarray(us, dtype=float)) * self.spans()
 
+    def to_list(self) -> list[dict]:
+        """The dimensions as ``config.json`` and ``model.json`` record them."""
+        return [{"name": d.name, "min": d.min, "max": d.max, "group": d.group} for d in self.dims]
+
     def groups(self) -> dict[str, list[int]]:
         """Column indices per group label, in first-appearance order."""
         out: dict[str, list[int]] = {}

@@ -123,16 +123,19 @@ def degenerate_split(critical_value: float) -> StratumSet:
 
 @dataclass(frozen=True)
 class StratumWeights:
-    """Occupancy probabilities of each stratum under the surrogate.
+    """Occupancy probabilities of each stratum, estimated from a pool of ``pool_size`` draws.
 
-    ``variance`` is the per-stratum binomial variance p(1-p)/pool_size of the
-    estimates; it is reported for transparency but treated as negligible by
-    the estimator (the pool is huge).
+    ``variance`` is derived from the two fields: the per-stratum binomial
+    variance p1(1-p1)/pool_size of the estimates. It is reported for
+    transparency but treated as negligible by the estimator (the pool is huge).
     """
 
     p1: np.ndarray
     pool_size: int
-    variance: np.ndarray
+
+    @property
+    def variance(self) -> np.ndarray:
+        return self.p1 * (1.0 - self.p1) / self.pool_size
 
     def hits(self) -> np.ndarray:
         """Integer pool counts recovered from p1 (exact for pools < 2**53)."""
@@ -189,5 +192,4 @@ def estimate_weights(
         with ThreadPoolExecutor(max_workers=1) as helper:
             pending = helper.submit(count, odd, 1, 2)
             counts = count(rng, 0, 2) + pending.result()
-    p1 = counts / pool_size
-    return StratumWeights(p1=p1, pool_size=pool_size, variance=p1 * (1.0 - p1) / pool_size)
+    return StratumWeights(p1=counts / pool_size, pool_size=pool_size)

@@ -70,7 +70,7 @@ def test_preliminary_product_design():
 def test_sigma_zero_fallback_two_strata():
     cfg = small_config(
         evaluator={"type": "synthetic", "kind": "linear", "noise_scale": 0.0, "seed": 0},
-        preliminary_count=7,
+        preliminary_count=8,
     )
     state = run_preliminary(cfg)
     assert state.model.sigma < 1e-12

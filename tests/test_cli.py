@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -87,6 +88,25 @@ def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, 
     assert report["iterations"] == 3
 
 
+def test_stopped_campaign_stays_stopped(tmp_path, config_path, capsys):
+    stop = tmp_path / "stop.json"
+    stop.write_text(json.dumps({
+        **json.loads(config_path.read_text()), "evaluator": {**SYNTH, "noise_scale": 0.05},
+        "iteration_budgets": [20, 10, 10], "seed": 1, "stop_unbiased_variance_below": 1.0,
+    }))
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(stop), "--run-dir", str(run_dir)]) == 0
+    assert json.loads((run_dir / "report.json").read_text())["iterations"] == 1  # stopped early
+    before = {p: b for p, b in _tree(run_dir).items() if p.name != "run.log"}
+    # neither a re-run nor `iterate` without --budget spends another budget
+    assert main(["run", "--config", str(stop), "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["iterate", "--run-dir", str(run_dir)]) == 2
+    assert "stop rule" in capsys.readouterr().err
+    assert {p: b for p, b in _tree(run_dir).items() if p.name != "run.log"} == before
+    assert (run_dir / "run.log").read_text().count("stopping after iteration") == 1
+
+
 #: The keys of settings that are now fixed, at the values older config.json files hold.
 RETIRED = {"n_confident": 10, "min_pool_hits": 10, "per_stratum_cap": 10_000_000,
            "evaluation_timeout": 3600.0, "failure_abort_fraction": 0.2, "sigma_dof_corrected": False}
@@ -131,6 +151,9 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         {"preliminary_count": 10, "preliminary_design": {"type": "product", "counts": {"geom": 2, "flow": 5}}},
         {"preliminary_count": 10, "preliminary_design": {"type": "product",
                                                          "counts": {"geometry": -2, "freestream": -5}}},
+        # preliminary designs the surrogate cannot be fitted on with a residual left over
+        {"preliminary_count": 7},
+        {"preliminary_count": 10, "preliminary_design": {"type": "product", "counts": {"geometry": 2, "freestream": 5}}},
     ]):
         bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
         run_dir = tmp_path / f"numeric{k}"
@@ -164,11 +187,21 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     assert main(["init", "--config", str(config_path), "--run-dir", str(tmp_path / "init")]) == 0
     older = tmp_path / "older"
     assert main(["run", "--config", str(config_path), "--run-dir", str(older)]) == 0
+    # finished runs that lost a file load_state reads, or hold one it cannot parse
+    for name in ("no-config", "bad-state", "no-samples", "no-weights"):
+        shutil.copytree(older, tmp_path / name)
+    (tmp_path / "no-config" / "config.json").unlink()
+    (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
+    (tmp_path / "no-samples" / "samples.tsv").unlink()
+    for path in (tmp_path / "no-weights").glob("iter_*/weights.tsv"):
+        path.unlink()
     state = json.loads((older / "state.json").read_text())
     del state["format"]
     (older / "state.json").write_text(json.dumps(state))
     capsys.readouterr()
-    for name, why in (("missing", "does not exist"), ("init", "no committed"), ("older", "format")):
+    for name, why in (("missing", "does not exist"), ("init", "no committed"), ("older", "format"),
+                      ("no-config", "config.json"), ("bad-state", "state.json"),
+                      ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err

@@ -90,14 +90,14 @@ def test_observe_p2_single_stratum_fraction():
     strata = degenerate_split(0.9)
     j_tilde = np.array([1.0, 1.0, 1.1, 0.99])
     j_true = np.array([0.95, 0.85, 0.89, 0.80])
-    counts, exceed, p2 = observe_p2(strata, j_tilde, j_true, 0.9)
+    counts, exceed, p2 = observe_p2(strata, j_tilde, j_true)
     assert counts.tolist() == [0, 4]
     assert exceed.tolist() == [0, 1]
     assert np.isnan(p2[0]) and p2[1] == 0.25
 
 
 def test_observe_p2_no_samples():
-    counts, exceed, p2 = observe_p2(build_strata(0.9, 0.01, 10), np.array([]), np.array([]), 0.9)
+    counts, exceed, p2 = observe_p2(build_strata(0.9, 0.01, 10), np.array([]), np.array([]))
     assert counts.sum() == 0 and exceed.sum() == 0
     assert np.isnan(p2).all()
 
@@ -105,9 +105,9 @@ def test_observe_p2_no_samples():
 def test_observe_p2_contract_errors():
     strata = degenerate_split(0.9)
     with pytest.raises(ContractError, match="objective"):
-        observe_p2(strata, np.array([1.0]), np.array([np.nan]), 0.9)
+        observe_p2(strata, np.array([1.0]), np.array([np.nan]))
     with pytest.raises(BoundsError, match="surrogate"):
-        observe_p2(strata, np.array([np.nan]), np.array([1.0]), 0.9)
+        observe_p2(strata, np.array([np.nan]), np.array([1.0]))
 
 
 def test_observe_p2_against_rejection_oracle(calibration):
@@ -137,7 +137,7 @@ def test_observe_p2_against_rejection_oracle(calibration):
             campaign[i] = rows[:40]
     assert campaign, "oracle found no well-populated strata"
     rows = np.concatenate(list(campaign.values()))
-    counts, exceed, p2 = observe_p2(strata, j_tilde[rows], j_true[rows], c)
+    counts, exceed, p2 = observe_p2(strata, j_tilde[rows], j_true[rows])
     # the vectorised tally equals a per-sample loop
     tally = np.zeros((2, strata.n_strata), dtype=np.int64)
     for r in rows:
@@ -175,7 +175,7 @@ def test_mix_p2_is_convex_combination(obs, pred, count, n_confident):
 
 def test_build_conditional_table_shapes():
     strata = build_strata(0.9, 0.01, 10)
-    table = build_conditional_table(strata, np.array([0.9005, 0.9005]), np.array([0.95, 0.80]), 0.9)
+    table = build_conditional_table(strata, np.array([0.9005, 0.9005]), np.array([0.95, 0.80]))
     assert table.counts.sum() == 2
     i = strata.bin_many(0.9005)
     assert table.exceed_counts[i] == 1

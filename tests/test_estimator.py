@@ -4,13 +4,12 @@ from hypothesis import given, strategies as st
 
 from adastrat.errors import ContractError
 from adastrat.estimator import (
-    biased_variance,
     build_estimate,
     confidence_interval,
     estimate,
     hard_tail_p2,
     naive_mc_equivalent,
-    unbiased_variance,
+    stratified_variance,
 )
 from adastrat.rng import substream
 from adastrat.strata import StratumWeights, build_strata, degenerate_split
@@ -18,7 +17,7 @@ from adastrat.strata import StratumWeights, build_strata, degenerate_split
 
 def test_estimate_single_stratum_reduces_to_naive_mc():
     assert estimate(np.array([1.0]), np.array([3 / 16])) == pytest.approx(3 / 16)
-    assert biased_variance(np.array([1.0]), np.array([0.5]), np.array([100])) == pytest.approx(0.0025)
+    assert stratified_variance(np.array([1.0]), np.array([0.5]), np.array([100])) == pytest.approx(0.0025)
 
 
 def test_estimate_trivials_and_weight_check():
@@ -31,19 +30,19 @@ def test_estimate_trivials_and_weight_check():
 
 def test_biased_variance_examples():
     # two strata: the hard-zero one contributes nothing
-    v = biased_variance(np.array([0.9, 0.1]), np.array([0.0, 0.5]), np.array([0, 25]))
+    v = stratified_variance(np.array([0.9, 0.1]), np.array([0.0, 0.5]), np.array([0, 25]))
     assert v == pytest.approx(0.1**2 * 0.25 / 25)
-    assert biased_variance(np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([0, 0])) == 0.0
+    assert stratified_variance(np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([0, 0])) == 0.0
 
 
 def test_biased_variance_contract_violation():
     with pytest.raises(ContractError, match="no samples"):
-        biased_variance(np.array([0.5, 0.5]), np.array([0.0, 0.5]), np.array([0, 0]))
+        stratified_variance(np.array([0.5, 0.5]), np.array([0.0, 0.5]), np.array([0, 0]))
 
 
 def test_unbiased_variance_examples():
-    assert unbiased_variance(np.array([1.0]), np.array([0.5]), np.array([1])) == 0.0
-    assert unbiased_variance(np.array([1.0]), np.array([0.5]), np.array([2])) == pytest.approx(0.25)
+    assert stratified_variance(np.array([1.0]), np.array([0.5]), np.array([1]), ddof=1) == 0.0
+    assert stratified_variance(np.array([1.0]), np.array([0.5]), np.array([2]), ddof=1) == pytest.approx(0.25)
 
 
 @given(
@@ -53,7 +52,7 @@ def test_unbiased_at_least_biased(rows):
     p2 = np.array([p for p, _ in rows])
     counts = np.array([n for _, n in rows])
     p1 = np.full(len(rows), 1.0 / len(rows))
-    assert unbiased_variance(p1, p2, counts) >= biased_variance(p1, p2, counts)
+    assert stratified_variance(p1, p2, counts, ddof=1) >= stratified_variance(p1, p2, counts)
 
 
 def test_confidence_interval_reference_values():
@@ -116,8 +115,7 @@ def test_hard_tail_extrapolation_sides():
 
 def test_build_estimate_fields_consistent():
     strata = degenerate_split(0.9)
-    weights = StratumWeights(p1=np.array([0.998, 0.002]), pool_size=1_000_000,
-                             variance=np.array([0.998 * 0.002 / 1e6] * 2))
+    weights = StratumWeights(p1=np.array([0.998, 0.002]), pool_size=1_000_000)
     counts = np.array([50, 20])
     p2_obs = np.array([0.0, 9 / 20])
     est = build_estimate(weights, strata, counts, p2_obs)
@@ -134,7 +132,7 @@ def test_single_stratum_campaign_matches_naive_mc_cost():
     # with all the weight in one stratum the whole machinery collapses to
     # naive Monte Carlo: the matching-cost sample count is the sample count
     strata = degenerate_split(0.9)
-    weights = StratumWeights(p1=np.array([0.0, 1.0]), pool_size=10_000, variance=np.zeros(2))
+    weights = StratumWeights(p1=np.array([0.0, 1.0]), pool_size=10_000)
     est = build_estimate(weights, strata, np.array([0, 50]), np.array([np.nan, 0.5]))
     assert est.probability == 0.5
     assert est.biased_variance == pytest.approx(0.5 * 0.5 / 50)
@@ -146,7 +144,7 @@ def test_biased_variance_matches_bootstrap():
     p1 = np.array([0.95, 0.03, 0.015, 0.005])
     p2 = np.array([0.0, 0.1, 0.4, 0.9])
     counts = np.array([80, 40, 30, 20])
-    formula = biased_variance(p1, p2, counts)
+    formula = stratified_variance(p1, p2, counts)
     rng = substream(20260808, "bootstrap")
     draws = [
         float(p1 @ (rng.binomial(counts, p2) / counts))
