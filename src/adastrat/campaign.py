@@ -273,11 +273,13 @@ def load_state(run_dir: Path) -> RunState:
     if doc.get("format") != STATE_FORMAT:
         raise ConfigError(f"run directory {run_dir} has state format {doc.get('format', 1)}, "
                           f"not {STATE_FORMAT}")
+    for key in ("iterations_completed", "next_id", "samples"):
+        if type(doc.get(key)) is not int or doc[key] < 0:
+            raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
     config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"))
     state = RunState(config=config, run_dir=run_dir)
-    state.iteration = int(doc["iterations_completed"])
-    state.next_id = int(doc["next_id"])
-    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, int(doc["samples"]))
+    state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
+    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, doc["samples"])
     # Only the weights are read back (their pool is costly), from the last refit: the
     # preliminary one in single mode, in multi mode the newest iteration that added samples
     # (not a newer weights.tsv an uncommitted attempt left). The rest is recomputed.

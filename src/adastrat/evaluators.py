@@ -6,8 +6,8 @@ shaped to leave a linear surrogate a genuine residual. The external
 evaluator wraps any command that speaks the line protocol: one JSON object
 ``{"id": ..., "params": {name: value, ...}}`` per request on stdin, one
 ``{"id": ..., "objective": ...}`` per reply on stdout. An evaluator is built
-once per campaign with its parallelism and run dir; each worker's child
-serves every batch until the evaluator's ``close``.
+once per campaign with its parallelism and run dir; the caller's thread
+serves all its children, and each child serves every batch until ``close``.
 """
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ DEFAULT_TIMEOUT = 3600.0
 FAILURE_ABORT_FRACTION = 0.2
 
 SYNTHETIC_KINDS = ("quadratic", "linear")
+
+#: What one external request can raise without endangering the others: it fails alone.
+_REQUEST_ERRORS = (TimeoutError, EOFError, OSError, ValueError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -170,12 +173,13 @@ def oracle_probability(
 
 
 class ExternalEvaluator:
-    """Keep one running command per worker slot and exchange JSON lines with it.
+    """Keep one running command per slot and exchange JSON lines with all of them from one thread.
 
     ``parallelism`` slots, each with one child that gets ``run_dir`` (if any) in
-    its environment. A slot's child serves every ``run_batch`` until ``close`` (or,
-    for an evaluator dropped unclosed, a finalizer); a request that kills or fails
-    it replaces it.
+    its environment and at most one request in flight. A slot's child serves every
+    ``run_batch`` until ``close`` (or, for an evaluator dropped unclosed, a
+    finalizer); a request that kills or fails it replaces it. An exception that
+    escapes ``run_batch``, Ctrl-C included, kills every child at once.
     """
 
     def __init__(
@@ -208,93 +212,94 @@ class ExternalEvaluator:
         env = None if self.run_dir is None else {**os.environ, RUN_DIR_ENV: self.run_dir}
         return subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr, env=env)
 
-    def _read_reply(self, proc: subprocess.Popen, deadline: float) -> bytes:
-        buf = bytearray()
-        fd = proc.stdout.fileno()
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("evaluator did not reply before the timeout")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise TimeoutError("evaluator did not reply before the timeout")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise EOFError("evaluator closed its output stream")
-            buf.extend(chunk)
-            if b"\n" in buf:
-                line, _, rest = bytes(buf).partition(b"\n")
-                if rest:
-                    raise IOError("evaluator sent more than one reply line at once")
-                return line
-
     def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Deal the requests round-robin onto the ``parallelism`` worker slots, one child each."""
+        """Deal the requests round-robin onto the slots; a slot's child gets its next one once the last one ends."""
         n = self.parallelism
-        chunks = [list(requests[k::n]) for k in range(n)]
-        if n == 1:
-            out = [self.run_chunk(0, chunks[0])]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                out = list(pool.map(self.run_chunk, range(n), chunks))
-        results = [r for res, _ in out for r in res]
-        failures = [f for _, fail in out for f in fail]
-        return results, failures
-
-    def run_chunk(
-        self, slot: int, requests: Sequence[EvaluationRequest]
-    ) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Feed one worker's requests to its slot's child, (re)starting the child as needed."""
-        results: list[EvaluationResult] = []
-        failures: list[EvaluationFailure] = []
-        names = self.space.names
-        proc, stderr = self._children.pop(slot, (None, None))
+        queues = [list(requests[k::n]) for k in range(n)]
+        results, failures = [], []
+        flight: dict = {}  # slot -> (request, its start time, reply bytes so far)
         try:
-            for req in requests:
-                started = time.monotonic()
-                try:
-                    if proc is not None and proc.poll() is not None:
-                        _end_children({slot: (proc, stderr)})
-                        proc = None
-                    if proc is None:
-                        stderr = tempfile.TemporaryFile()  # each child's own, unnamed
-                        proc = self._spawn(stderr)
-                    payload = {
-                        "id": int(req.id),
-                        "params": {name: float(v) for name, v in zip(names, req.params)},
-                    }
-                    proc.stdin.write((json.dumps(payload) + "\n").encode("utf-8"))
-                    proc.stdin.flush()
-                    line = self._read_reply(proc, started + self.timeout)
-                    reply = json.loads(line.decode("utf-8"))
-                    if not isinstance(reply, dict):
-                        raise IOError(f"reply {reply!r} is not a JSON object")
-                    if type(reply.get("id")) is not int or reply["id"] != req.id:
-                        raise IOError(f"reply id {reply.get('id')!r} does not match request id {req.id}")
-                    objective = reply.get("objective")
-                    if type(objective) not in (int, float) or not np.isfinite(float(objective)):
-                        raise IOError(f"objective {objective!r} is not a finite JSON number")
-                    wall_time = time.monotonic() - started
-                    results.append(EvaluationResult(id=req.id, objective=float(objective), wall_time=wall_time))
-                except (TimeoutError, EOFError, OSError, ValueError, OverflowError) as exc:
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if proc is not None:
-                        proc.kill()
-                        proc.wait()
-                        reason += _stderr_tail(stderr)
-                        _end_children({slot: (proc, stderr)})
-                        proc = None
-                    failures.append(EvaluationFailure(id=req.id, reason=reason))
-        except BaseException:  # a child in an unknown state is not kept
-            if proc is not None:
+            while True:
+                for slot in range(n):
+                    while queues[slot] and slot not in flight:
+                        req, started = queues[slot].pop(0), time.monotonic()
+                        try:
+                            self._write(slot, req)
+                            flight[slot] = (req, started, bytearray())
+                        except _REQUEST_ERRORS as exc:
+                            failures.append(self._fail(slot, req, exc))
+                if not flight:
+                    return results, failures
+                fds = {self._children[slot][0].stdout.fileno(): slot for slot in flight}
+                earliest = min(started for _, started, _ in flight.values())
+                ready, _, _ = select.select(list(fds), [], [], max(0.0, earliest + self.timeout - time.monotonic()))
+                for fd, slot in fds.items():
+                    req, started, buf = flight.pop(slot)
+                    try:
+                        if fd in ready:
+                            chunk = os.read(fd, 65536)
+                            if not chunk:
+                                raise EOFError("evaluator closed its output stream")
+                            buf.extend(chunk)
+                        if b"\n" in buf:
+                            results.append(EvaluationResult(req.id, self._parse_reply(bytes(buf), req.id),
+                                                            time.monotonic() - started))
+                        elif time.monotonic() >= started + self.timeout:
+                            raise TimeoutError("evaluator did not reply before the timeout")
+                        else:
+                            flight[slot] = (req, started, buf)
+                    except _REQUEST_ERRORS as exc:
+                        failures.append(self._fail(slot, req, exc))
+        except BaseException:  # children in an unknown state are not kept
+            for proc, _ in self._children.values():
                 proc.kill()
-                _end_children({slot: (proc, stderr)})
+            _end_children(self._children)
             raise
-        if proc is not None:
-            self._children[slot] = (proc, stderr)
-        return results, failures
+
+    def _write(self, slot: int, req: EvaluationRequest) -> None:
+        """Send ``req`` to the slot's child, first replacing a missing or dead one."""
+        if slot in self._children and self._children[slot][0].poll() is not None:
+            _end_children({slot: self._children.pop(slot)})
+        if slot not in self._children:
+            stderr = tempfile.TemporaryFile()  # each child's own, unnamed
+            try:
+                self._children[slot] = (self._spawn(stderr), stderr)
+            except BaseException:
+                stderr.close()
+                raise
+        payload = {"id": int(req.id), "params": {name: float(v) for name, v in zip(self.space.names, req.params)}}
+        stdin = self._children[slot][0].stdin
+        stdin.write((json.dumps(payload) + "\n").encode("utf-8"))
+        stdin.flush()
+
+    @staticmethod
+    def _parse_reply(data: bytes, rid: int) -> float:
+        """The objective of the reply to request ``rid``: one line holding a JSON object with that id."""
+        line, _, rest = data.partition(b"\n")
+        if rest:
+            raise IOError("evaluator sent more than one reply line at once")
+        reply = json.loads(line.decode("utf-8"))
+        if not isinstance(reply, dict):
+            raise IOError(f"reply {reply!r} is not a JSON object")
+        if type(reply.get("id")) is not int or reply["id"] != rid:
+            raise IOError(f"reply id {reply.get('id')!r} does not match request id {rid}")
+        objective = reply.get("objective")
+        if type(objective) not in (int, float) or not np.isfinite(float(objective)):
+            raise IOError(f"objective {objective!r} is not a finite JSON number")
+        return float(objective)
+
+    def _fail(self, slot: int, req: EvaluationRequest, exc: Exception) -> EvaluationFailure:
+        """``req``'s failure; the slot's child is killed, and the tail of its stderr ends the reason."""
+        reason = f"{type(exc).__name__}: {exc}"
+        if slot in self._children:
+            proc, stderr = self._children.pop(slot)
+            proc.kill()
+            proc.wait()
+            stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 2048))  # the last 2 KiB it wrote
+            tail = stderr.read().decode("utf-8", errors="replace").strip()
+            reason += f"; solver stderr: {tail}" if tail else ""
+            _end_children({slot: (proc, stderr)})
+        return EvaluationFailure(id=req.id, reason=reason)
 
 
 def _end_children(children: dict) -> None:
@@ -315,19 +320,12 @@ def _end_children(children: dict) -> None:
         stderr.close()
 
 
-def _stderr_tail(stderr: BinaryIO) -> str:
-    """The last 2 KiB a finished child wrote to stderr, as a failure-reason suffix."""
-    stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 2048))
-    text = stderr.read().decode("utf-8", errors="replace").strip()
-    return f"; solver stderr: {text}" if text else ""
-
-
 def evaluate_batch(evaluator, requests: Sequence[EvaluationRequest]) -> BatchOutcome:
     """Evaluate a batch of requests through the evaluator's ``run_batch``.
 
     Every request must come back as exactly one result or one failure.
     Results carry their request ids and come back sorted by id, so the
-    outcome is independent of worker count and scheduling for any
+    outcome is independent of parallelism and reply order for any
     deterministic evaluator.
     """
     if not requests:

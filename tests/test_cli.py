@@ -188,19 +188,26 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     older = tmp_path / "older"
     assert main(["run", "--config", str(config_path), "--run-dir", str(older)]) == 0
     # finished runs that lost a file load_state reads, or hold one it cannot parse
-    for name in ("no-config", "bad-state", "no-samples", "no-weights"):
+    for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
+                 "no-weights"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
+    (tmp_path / "no-counts" / "state.json").write_text('{"format": 2}')
+    state = json.loads((older / "state.json").read_text())
+    (tmp_path / "text-count" / "state.json").write_text(json.dumps({**state, "iterations_completed": "x"}))
+    (tmp_path / "negative-count" / "state.json").write_text(json.dumps({**state, "samples": -5}))
     (tmp_path / "no-samples" / "samples.tsv").unlink()
     for path in (tmp_path / "no-weights").glob("iter_*/weights.tsv"):
         path.unlink()
-    state = json.loads((older / "state.json").read_text())
     del state["format"]
     (older / "state.json").write_text(json.dumps(state))
     capsys.readouterr()
     for name, why in (("missing", "does not exist"), ("init", "no committed"), ("older", "format"),
                       ("no-config", "config.json"), ("bad-state", "state.json"),
+                      ("no-counts", "state.json holds no non-negative integer 'iterations_completed'"),
+                      ("text-count", "state.json holds no non-negative integer 'iterations_completed'"),
+                      ("negative-count", "state.json holds no non-negative integer 'samples'"),
                       ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)

@@ -1,5 +1,8 @@
 import gc
+import signal
 import sys
+import threading
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -123,10 +126,11 @@ def test_external_multiset_independent_of_parallelism():
 def test_external_garbage_replies_fail_only_their_requests():
     ws = sample_uniform(DEFAULT_SPACE, substream(6, "garbage"), 9)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    with _external("garbage") as evaluator:
-        out = evaluate_batch(evaluator, reqs)
-    assert sorted(f.id for f in out.failures) == [0, 3, 6]
-    assert sorted(r.id for r in out.results) == [1, 2, 4, 5, 7, 8]
+    for parallelism in (1, 2):
+        with _external("garbage", parallelism=parallelism) as evaluator:
+            out = evaluate_batch(evaluator, reqs)
+        assert sorted(f.id for f in out.failures) == [0, 3, 6]
+        assert sorted(r.id for r in out.results) == [1, 2, 4, 5, 7, 8]
 
 
 def test_external_crash_restarts_and_continues():
@@ -159,19 +163,21 @@ def test_external_failure_reason_carries_the_stderr_tail():
 def test_external_timeout_reported_per_request():
     ws = sample_uniform(DEFAULT_SPACE, substream(8, "hang"), 3)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    with _external("hang", timeout=1.0) as evaluator:
-        out = evaluate_batch(evaluator, reqs)
-    assert sorted(f.id for f in out.failures) == [0, 2]
-    assert "Timeout" in out.failures[0].reason
-    assert [r.id for r in out.results] == [1]
+    for parallelism in (1, 2):
+        with _external("hang", timeout=1.0, parallelism=parallelism) as evaluator:
+            out = evaluate_batch(evaluator, reqs)
+        assert sorted(f.id for f in out.failures) == [0, 2]
+        assert "Timeout" in out.failures[0].reason
+        assert [r.id for r in out.results] == [1]
 
 
 def test_external_wrong_id_detected():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "wrong"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    with _external("wrong-id") as evaluator:
-        out = evaluate_batch(evaluator, reqs)
-    assert sorted(f.id for f in out.failures) == [0, 5]
+    for parallelism in (1, 2):
+        with _external("wrong-id", parallelism=parallelism) as evaluator:
+            out = evaluate_batch(evaluator, reqs)
+        assert sorted(f.id for f in out.failures) == [0, 5]
 
 
 @pytest.mark.parametrize("mode, bad", [
@@ -181,11 +187,12 @@ def test_external_wrong_id_detected():
 ])
 def test_external_malformed_replies_fail_only_their_requests(mode, bad):
     reqs = _requests(12, mode)
-    with _external(mode) as evaluator:
-        out = evaluate_batch(evaluator, reqs)
-    assert [f.id for f in out.failures] == bad
-    assert [r.id for r in out.results] == [i for i in range(12) if i not in bad]
-    assert all(f.reason.startswith("OSError: ") for f in out.failures)
+    for parallelism in (1, 2):
+        with _external(mode, parallelism=parallelism) as evaluator:
+            out = evaluate_batch(evaluator, reqs)
+        assert [f.id for f in out.failures] == bad
+        assert [r.id for r in out.results] == [i for i in range(12) if i not in bad]
+        assert all(f.reason.startswith("OSError: ") for f in out.failures)
 
 
 def test_external_children_serve_every_batch(spawned):
@@ -212,19 +219,40 @@ def test_external_dead_child_is_replaced_before_the_next_batch(spawned):
 
 def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch):
     reqs = _requests(4, "escape")
-    with _external("none") as evaluator:
-        evaluate_batch(evaluator, reqs[:2])
 
-        def interrupted(*args):
-            raise KeyboardInterrupt
+    def interrupted(*args):
+        raise KeyboardInterrupt
 
-        with monkeypatch.context() as m:
-            m.setattr(ExternalEvaluator, "_read_reply", interrupted)
+    for parallelism in (1, 2):
+        spawned.clear()
+        with _external("none", parallelism=parallelism) as evaluator:
+            evaluate_batch(evaluator, reqs[:2])
+            with monkeypatch.context() as m:
+                m.setattr(ExternalEvaluator, "_parse_reply", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    evaluate_batch(evaluator, reqs[2:3])
+            assert spawned[0].poll() is not None
+            out = evaluate_batch(evaluator, reqs[3:])
+        # the slots' children ended together; the last request started one more
+        assert not out.failures and len(spawned) == parallelism + 1
+
+
+def test_external_interrupt_ends_every_child_at_once(spawned):
+    reqs = _requests(8, "interrupt")
+    ctrl_c = threading.Timer(0.5, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    # the hang fixture never answers an even id: two per child, each 5 s until its timeout
+    with _external("hang", timeout=5.0, parallelism=2) as evaluator:
+        started = time.monotonic()
+        ctrl_c.start()
+        try:
             with pytest.raises(KeyboardInterrupt):
-                evaluate_batch(evaluator, reqs[2:3])
-        assert spawned[0].poll() is not None
-        out = evaluate_batch(evaluator, reqs[3:])
-    assert not out.failures and len(spawned) == 2
+                evaluate_batch(evaluator, reqs[0::2])
+        finally:
+            ctrl_c.cancel()
+        assert time.monotonic() - started < 2.0
+        assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+        out = evaluate_batch(evaluator, reqs[1::2])
+    assert not out.failures and [r.id for r in out.results] == [1, 3, 5, 7]
 
 
 def test_external_children_of_a_dropped_evaluator_are_ended(spawned):
@@ -248,6 +276,14 @@ def test_external_children_get_the_run_dir(tmp_path, monkeypatch):
         with closing(ExternalEvaluator(command=[sys.executable, "-c", reply], parallelism=2, run_dir=run_dir)) as ev:
             out = evaluate_batch(ev, _requests(4, "run-dir"))
         assert [r.objective for r in out.results] == [expected] * 4
+
+
+def test_external_missing_command_fails_each_request():
+    with closing(ExternalEvaluator(command=[str(FIXTURES / "no-such-solver")], parallelism=2)) as evaluator:
+        out = evaluate_batch(evaluator, _requests(3, "missing"))
+    assert not out.results and [f.id for f in out.failures] == [0, 1, 2]
+    assert all(f.reason.startswith("FileNotFoundError: ") for f in out.failures)
+    gc.collect()  # a stderr file left open warns here, and the warning fails the test
 
 
 def test_external_evaluator_refuses_parallelism_below_one():
