@@ -1,5 +1,7 @@
 import gc
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ from adastrat.evaluators import (
     EvaluationRequest,
     ExternalEvaluator,
     SyntheticObjective,
+    _wait,
     evaluate_batch,
     oracle_probability,
 )
@@ -263,6 +266,25 @@ def test_external_children_of_a_dropped_evaluator_are_ended(spawned):
     del evaluator
     gc.collect()
     assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
+def test_child_exit_wait_returns_on_exit_and_gives_up_at_its_timeout(monkeypatch):
+    # with a pidfd (Linux) and with Popen's own poll, where there is none
+    for pidfd in (True, False):
+        if not pidfd:
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        quick = subprocess.Popen([sys.executable, "-c", "raise SystemExit(7)"])
+        _wait(quick, 30.0)
+        assert quick.returncode == 7
+        stuck = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            started = time.monotonic()
+            with pytest.raises(subprocess.TimeoutExpired):
+                _wait(stuck, 0.3)
+            assert 0.3 <= time.monotonic() - started < 2.0 and stuck.poll() is None
+        finally:
+            stuck.kill()
+            stuck.wait()
 
 
 def test_external_children_get_the_run_dir(tmp_path, monkeypatch):
