@@ -195,7 +195,6 @@ def select_candidates(
     model: SurrogateModel,
     additional: np.ndarray,
     rng: np.random.Generator,
-    per_stratum_cap: int = PER_STRATUM_CAP,
 ) -> list[tuple[int, np.ndarray]]:
     """Rejection-sample parameter vectors until each stratum quota is filled.
 
@@ -203,7 +202,7 @@ def select_candidates(
     ``additional[i]`` hits per stratum are kept, so the output is
     deterministic for a given generator state. Results are ordered by
     (stratum index, draw order). A stratum still unfilled after
-    ``per_stratum_cap * additional[i]`` total draws raises
+    ``PER_STRATUM_CAP * additional[i]`` total draws raises
     UnfillableStratumError; the cap is checked after each batch of
     ``_SEARCH_BATCH`` rows, so it is met to within one batch.
 
@@ -233,7 +232,7 @@ def select_candidates(
             kept[int(i)].extend(ws[rows])
             need[i] -= rows.size
         for i in np.flatnonzero(need > 0):
-            if drawn >= per_stratum_cap * additional[i]:
+            if drawn >= PER_STRATUM_CAP * additional[i]:
                 raise UnfillableStratumError(
                     stratum=int(i),
                     requested=int(additional[i]),

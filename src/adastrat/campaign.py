@@ -83,10 +83,10 @@ def _model_and_strata(cfg: RunConfig, samples: list[SampleRecord]) -> tuple[Surr
     return model, strata
 
 
-def _fit_and_stratify(state: RunState) -> None:
+def _fit_and_stratify(state: RunState, k: int) -> None:
     cfg = state.config
     state.model, state.strata = _model_and_strata(cfg, state.samples)
-    rng = substream(cfg.seed, "pool", state.iteration)
+    rng = substream(cfg.seed, "pool", k)
     state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, rng)
 
 
@@ -182,7 +182,7 @@ def _preliminary(state: RunState) -> RunState:
     else:
         params = sample_uniform(config.space, rng, config.preliminary_count)
     _evaluate_new(state, params, iteration=0)
-    _fit_and_stratify(state)
+    _fit_and_stratify(state, 0)
     _persist_iteration(state, None, None, None, write_model=True)
     return state
 
@@ -208,8 +208,7 @@ def run_iteration(state: RunState, budget: int) -> RunState:
         candidates = select_candidates(state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k))
         new_records = _evaluate_new(state, [w for _, w in candidates], iteration=k)
         if cfg.mode == "multi" and new_records:
-            state.iteration = k  # the pool substream is named after the refit index
-            _fit_and_stratify(state)
+            _fit_and_stratify(state, k)
             refit_happened = True
     state.iteration = k
     state.estimates.append(_estimate(state))
@@ -270,13 +269,15 @@ def load_state(run_dir: Path) -> RunState:
         problem = "holds no committed campaign; start it with `run`" if run_dir.is_dir() else "does not exist"
         raise ConfigError(f"run directory {run_dir} {problem}")
     doc = _read(persist.read_doc, run_dir / "state.json")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{run_dir / 'state.json'} must hold a JSON object")
     if doc.get("format") != STATE_FORMAT:
         raise ConfigError(f"run directory {run_dir} has state format {doc.get('format', 1)}, "
                           f"not {STATE_FORMAT}")
     for key in ("iterations_completed", "next_id", "samples"):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
-    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"))
+    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"), str(run_dir / "config.json"))
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
     state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, doc["samples"])
@@ -285,7 +286,7 @@ def load_state(run_dir: Path) -> RunState:
     # (not a newer weights.tsv an uncommitted attempt left). The rest is recomputed.
     k = max(s.iteration for s in state.samples) if config.mode == "multi" else 0
     state.model, state.strata = _model_and_strata(config, [s for s in state.samples if s.iteration <= k])
-    state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv")
+    state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", state.strata)
     if state.iteration > 0:
         state.estimates.append(_estimate(state))
     return state

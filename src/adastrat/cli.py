@@ -53,7 +53,6 @@ def _add_common(p: argparse.ArgumentParser, *, config_required: bool) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--parallelism", type=int, default=None, help="override evaluator parallelism")
     p.add_argument("--mode", choices=("single", "multi"), default=None, help="override the campaign mode")
-    p.add_argument("--evaluator", default=None, metavar="KIND", help="override the synthetic objective kind")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,13 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> "RunConfig":
     config = load_config(args.config)
-    return with_overrides(
-        config,
-        seed=args.seed,
-        parallelism=args.parallelism,
-        mode=args.mode,
-        evaluator_kind=args.evaluator,
-    )
+    return with_overrides(config, seed=args.seed, parallelism=args.parallelism, mode=args.mode)
 
 
 @contextmanager

@@ -78,25 +78,15 @@ def observe_p2(
     return counts, exceed, p2
 
 
-def mix_p2(
-    p2_obs: np.ndarray,
-    p2_pred: np.ndarray,
-    counts: np.ndarray,
-    n_confident: int,
-) -> np.ndarray:
+def mix_p2(p2_obs: np.ndarray, p2_pred: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Convex mix of observation and prediction, weighted by sample counts.
 
-    A stratum with at least ``n_confident`` samples is trusted fully on its
-    observations; an empty one falls back to the prediction; in between the
-    weight is counts/n_confident.
+    A stratum with at least ``N_CONFIDENT`` samples is trusted fully on its
+    observations; in between the weight is counts/N_CONFIDENT, so an empty
+    one (weight 0, NaN observation) gets exactly the prediction.
     """
-    if n_confident < 1:
-        raise ValueError(f"n_confident must be >= 1, got {n_confident}")
-    counts = np.asarray(counts)
-    r = np.minimum(1.0, counts / float(n_confident))
-    obs = np.where(counts > 0, np.nan_to_num(np.asarray(p2_obs, dtype=float)), 0.0)
-    return np.where(counts > 0, r * obs + (1.0 - r) * np.asarray(p2_pred, dtype=float),
-                    np.asarray(p2_pred, dtype=float))
+    r = np.minimum(1.0, np.asarray(counts) / float(N_CONFIDENT))
+    return r * np.nan_to_num(np.asarray(p2_obs, dtype=float)) + (1.0 - r) * np.asarray(p2_pred, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,7 @@ def build_conditional_table(
 ) -> ConditionalTable:
     pred = predict_p2(strata)
     counts, exceed, obs = observe_p2(strata, j_tilde, j_true)
-    mix = mix_p2(obs, pred, counts, N_CONFIDENT)
+    mix = mix_p2(obs, pred, counts)
     return ConditionalTable(
         p2_pred=pred,
         p2_obs=obs,

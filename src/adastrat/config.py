@@ -136,7 +136,10 @@ _RETIRED = {
 }
 
 
-def config_from_dict(doc: dict[str, Any]) -> RunConfig:
+def config_from_dict(doc: dict[str, Any], source: str = "config") -> RunConfig:
+    """The validated config ``doc`` holds; ``source`` names where it came from in errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source} must hold a JSON object")
     doc = dict(doc)
     for key, fixed in _RETIRED.items():
         value = doc.pop(key, fixed)
@@ -179,9 +182,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict(doc, f"config file {path}")
 
 
 def build_evaluator(config: RunConfig, run_dir: Optional[Path] = None):
@@ -219,16 +220,9 @@ def with_overrides(
     seed: Optional[int] = None,
     parallelism: Optional[int] = None,
     mode: Optional[str] = None,
-    evaluator_kind: Optional[str] = None,
 ) -> RunConfig:
     """CLI-flag overrides applied on top of the loaded config."""
     updates = {k: v for k, v in dict(seed=seed, parallelism=parallelism, mode=mode).items() if v is not None}
-    if evaluator_kind is not None:
-        ev = dict(config.evaluator)
-        if ev.get("type") != "synthetic":
-            raise ConfigError("--evaluator can only switch synthetic objective kinds")
-        ev["kind"] = evaluator_kind
-        updates["evaluator"] = ev
     if not updates:
         return config
     return replace(config, **updates).validate()

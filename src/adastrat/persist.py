@@ -5,14 +5,16 @@ boundary; it counts the committed rows of ``samples.tsv``, the append-only
 table of measured samples. A load reads only ``config.json``, ``state.json``,
 the committed rows and the last refit's ``weights.tsv`` (a large pool to
 redo), and recomputes the model, strata and estimate from the samples;
-``model.json``, ``estimate.*``, ``conditional.tsv`` and ``allocation.tsv``
-are outputs only. Loading writes nothing; the next append cuts off any rows
-past the commit. Every other file is replaced atomically (a uniquely named
-temp file, then a rename).
-Tables are tab-separated text; documents are JSON. Floats are serialized
-with shortest round-trip precision, so a reloaded run is bit-identical to
-the run that wrote it. Wall-clock timings never enter these files;
-``run.log`` gets only failure notes and the early-stop line.
+the weights are taken only if their ``lower``/``upper`` edges are exactly
+those of the recomputed strata. ``model.json``, ``estimate.*``,
+``conditional.tsv`` and ``allocation.tsv`` are outputs only. Loading writes
+nothing; the next append cuts off any rows past the commit. Every other
+file is replaced atomically (a uniquely named temp file, then a rename).
+Tables are tab-separated text, the derived ones written column by column;
+documents are JSON. Floats are serialized with shortest round-trip
+precision, so a reloaded run is bit-identical to the run that wrote it
+(and an edge read back compares equal). Wall-clock timings never enter
+these files; ``run.log`` gets only failure notes and the early-stop line.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import os
 import uuid
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,8 +63,9 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    atomic_write_text(path, "\t".join(header) + "\n" + "".join(_line(row) for row in rows))
+def write_table(path: Path, columns: dict[str, Sequence], head: str = "") -> None:
+    """A table given column by column, each under its header name, after the ``head`` lines."""
+    atomic_write_text(path, head + "\t".join(columns) + "\n" + "".join(_line(row) for row in zip(*columns.values())))
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -94,15 +97,15 @@ def append_samples(
 ) -> None:
     """Write ``samples`` after the first ``committed`` rows of the table, cutting any rows past
     them; with none committed the table starts over with its header."""
-    rows = [[s.id, s.iteration, *s.params, s.j_true] for s in samples]
+    rows = "".join(_line([s.id, s.iteration, *s.params, s.j_true]) for s in samples)
     if committed == 0:
-        write_table(path, _sample_header(names), rows)
+        atomic_write_text(path, "\t".join(_sample_header(names)) + "\n" + rows)
         return
     with open(path, "r+b") as f:
         rest = f.read().split(b"\n", committed + 1)[-1]  # what a crash left past the commit
         f.seek(-len(rest), os.SEEK_END)
         f.truncate()
-        f.write("".join(_line(row) for row in rows).encode())
+        f.write(rows.encode())
 
 
 def read_samples(path: Path, names: Sequence[str], count: int) -> list[SampleRecord]:
@@ -139,47 +142,48 @@ def write_model(path: Path, model: SurrogateModel) -> None:
 
 
 def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> None:
-    variance = weights.variance
-    rows = [[i, strata.lower(i), strata.upper(i), weights.p1[i], variance[i]] for i in range(strata.n_strata)]
-    head = f"# pool_size\t{weights.pool_size}\nstratum\tlower\tupper\tp1\tvariance\n"
-    atomic_write_text(path, head + "".join(_line(row) for row in rows))
+    bounds = strata.bounds()
+    write_table(path, {
+        "stratum": range(strata.n_strata), "lower": bounds[:-1], "upper": bounds[1:],
+        "p1": weights.p1, "variance": weights.variance,
+    }, head=f"# pool_size\t{weights.pool_size}\n")
 
 
-def read_weights(path: Path) -> StratumWeights:
-    """The weights alone; the ``lower``/``upper`` edges and the ``variance`` are for the reader."""
+def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
+    """The weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
+    theirs is refused. The ``variance`` column is for the reader."""
     lines = path.read_text().splitlines()
-    p1 = np.array([float(line.split("\t")[3]) for line in lines[2:]])
-    return StratumWeights(p1=p1, pool_size=int(lines[0].split("\t")[1]))
+    rows = np.array([[float(c) for c in line.split("\t")[1:4]] for line in lines[2:]]).reshape(-1, 3)
+    bounds = strata.bounds()
+    if rows.shape[0] != strata.n_strata or (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
+        raise ValueError(f"its {rows.shape[0]} strata do not match the {strata.n_strata} recomputed from the samples")
+    # a contiguous p1, as the campaign's was: numpy sums a strided one in another order
+    return StratumWeights(p1=np.ascontiguousarray(rows[:, 2]), pool_size=int(lines[0].split("\t")[1]))
 
 
 # -- per-iteration tables ----------------------------------------------------
 
 def write_conditional(path: Path, table: ConditionalTable) -> None:
-    header = ["stratum", "count", "exceed", "p2_pred", "p2_obs", "p2_mix"]
-    rows = [
-        [i, table.counts[i], table.exceed_counts[i], table.p2_pred[i], table.p2_obs[i], table.p2_mix[i]]
-        for i in range(len(table.counts))
-    ]
-    write_table(path, header, rows)
+    write_table(path, {
+        "stratum": range(len(table.counts)), "count": table.counts, "exceed": table.exceed_counts,
+        "p2_pred": table.p2_pred, "p2_obs": table.p2_obs, "p2_mix": table.p2_mix,
+    })
 
 
 def write_allocation(path: Path, plan: AllocationPlan) -> None:
-    header = ["stratum", "weight", "target", "existing", "additional"]
-    rows = [
-        [i, plan.weights[i], plan.target[i], plan.existing[i], plan.additional[i]]
-        for i in range(len(plan.weights))
-    ]
-    write_table(path, header, rows)
+    write_table(path, {
+        "stratum": range(len(plan.weights)), "weight": plan.weights, "target": plan.target,
+        "existing": plan.existing, "additional": plan.additional,
+    })
 
 
 def write_estimate(dir_path: Path, strata: StratumSet, est: RareEventEstimate) -> None:
     write_doc(dir_path / "estimate.json", est.summary())
-    header = ["stratum", "lower", "upper", "p1", "p2", "count", "contribution"]
-    rows = [
-        [i, strata.lower(i), strata.upper(i), est.p1[i], est.p2[i], est.counts[i], est.contribution[i]]
-        for i in range(strata.n_strata)
-    ]
-    write_table(dir_path / "estimate.tsv", header, rows)
+    bounds = strata.bounds()
+    write_table(dir_path / "estimate.tsv", {
+        "stratum": range(strata.n_strata), "lower": bounds[:-1], "upper": bounds[1:],
+        "p1": est.p1, "p2": est.p2, "count": est.counts, "contribution": est.contribution,
+    })
 
 
 def append_log(run_dir: Path, message: str) -> None:

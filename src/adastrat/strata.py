@@ -65,11 +65,9 @@ class StratumSet:
         bounds = np.concatenate(([-np.inf], edges, [np.nan]))
         return idx - (x < bounds[idx]) + (x >= bounds[1:][idx])
 
-    def lower(self, i: int) -> float:
-        return -np.inf if i == 0 else float(self.edges[i - 1])
-
-    def upper(self, i: int) -> float:
-        return np.inf if i == self.n_strata - 1 else float(self.edges[i])
+    def bounds(self) -> np.ndarray:
+        """-inf, the edges, +inf: stratum i is [bounds[i], bounds[i + 1])."""
+        return np.concatenate(([-np.inf], self.edges, [np.inf]))
 
     def midpoints(self) -> np.ndarray:
         """Arithmetic center of each finite stratum; +-inf for the tails."""
@@ -152,44 +150,37 @@ def estimate_weights(
 
     The pool is the rows of ``rng.random((pool_size, d))``, drawn and binned
     in ``_POOL_BATCH``-row batches into one reused buffer per thread. A pool
-    of more than ``_SERIAL_BATCHES`` batches is split between the caller and
-    one helper thread, which each draw *and* bin every other batch, so both
-    the draw and the binning run on two cores. The caller draws the even
-    batches through ``rng``, advancing it past each odd one; the helper draws
-    the odd ones from a PCG64 copy positioned with ``advance``. Each double
-    takes exactly one PCG64 output and integer counts add in any order, so
-    the counts equal a serial loop's and ``rng`` ends as it would after
-    ``rng.random((pool_size, d))``. Smaller pools, other generators and a
-    PCG64 holding a buffered 32-bit half-output (which ``advance`` would
-    drop) are drawn through ``rng`` on the caller's thread.
+    of more than ``_SERIAL_BATCHES`` batches is cut into two runs of whole
+    batches, so both the draw and the binning run on two cores: the caller
+    draws the first run through ``rng``, and one helper thread draws the
+    second from a PCG64 copy advanced past the first. Each double takes
+    exactly one PCG64 output and integer counts add in any order, so the
+    counts equal a serial loop's; where ``rng`` ends is left unspecified.
+    Smaller pools and other bit generators (the split needs PCG64's
+    ``advance``) are drawn through ``rng`` on the caller's thread.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     n_batches = -(-pool_size // _POOL_BATCH)
     dim = model.space.dim
 
-    def rows(k: int) -> int:
-        return min(_POOL_BATCH, pool_size - k * _POOL_BATCH)
-
-    def count(generator: np.random.Generator, first: int, step: int) -> np.ndarray:
-        """Draw and bin batches first, first + step, ...; with step 2, advance past the others."""
+    def count(generator: np.random.Generator, rows: int) -> np.ndarray:
         counts = np.zeros(strata.n_strata, dtype=np.int64)
-        buffer = np.empty((rows(0), dim))
-        for k in range(first, n_batches, step):
-            us = generator.random(out=buffer[: rows(k)])
+        buffer = np.empty((min(_POOL_BATCH, rows), dim))
+        for start in range(0, rows, _POOL_BATCH):
+            us = generator.random(out=buffer[: rows - start])
             counts += np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
-            if step == 2 and k + 1 < n_batches:
-                generator.bit_generator.advance(rows(k + 1) * dim)
         return counts
 
     bits = rng.bit_generator
-    if n_batches <= _SERIAL_BATCHES or type(bits) is not np.random.PCG64 or bits.state["has_uint32"]:
-        counts = count(rng, 0, 1)
+    if n_batches <= _SERIAL_BATCHES or type(bits) is not np.random.PCG64:
+        counts = count(rng, pool_size)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        odd = np.random.Generator(copy.deepcopy(bits).advance(rows(0) * dim))
+        first = n_batches // 2 * _POOL_BATCH
+        second = np.random.Generator(copy.deepcopy(bits).advance(first * dim))
         with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(count, odd, 1, 2)
-            counts = count(rng, 0, 2) + pending.result()
+            pending = helper.submit(count, second, pool_size - first)
+            counts = count(rng, first) + pending.result()
     return StratumWeights(p1=counts / pool_size, pool_size=pool_size)

@@ -212,12 +212,13 @@ def test_select_candidates_rebin_consistency():
     assert rebinned.tolist() == [stratum for stratum, _ in picks]
 
 
-def test_select_candidates_unfillable_stratum():
+def test_select_candidates_unfillable_stratum(monkeypatch):
+    monkeypatch.setattr(allocation, "PER_STRATUM_CAP", 70_000)
     strata = build_strata(0.5, 0.05, 10)
     additional = np.zeros(strata.n_strata, dtype=int)
     additional[-1] = 2  # the upper tail is unreachable for the identity surrogate on [0, 1]
     with pytest.raises(UnfillableStratumError) as err:
-        select_candidates(strata, IDENTITY, additional, substream(7, "unfill"), per_stratum_cap=70_000)
+        select_candidates(strata, IDENTITY, additional, substream(7, "unfill"))
     assert err.value.stratum == strata.n_strata - 1
     assert err.value.estimated_weight == 0.0
 

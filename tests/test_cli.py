@@ -1,6 +1,8 @@
+import argparse
 import fcntl
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -33,6 +35,14 @@ def config_path(tmp_path) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_readme_names_exactly_the_common_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme.partition("Common flags")[2].partition("Exit codes")[0]
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_common(parser, config_required=False)
+    assert set(re.findall(r"`(--[a-z-]+)", sentence)) == {a.option_strings[0] for a in parser._actions}
 
 
 def test_init_creates_run_dir(tmp_path, config_path, capsys):
@@ -189,10 +199,17 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     assert main(["run", "--config", str(config_path), "--run-dir", str(older)]) == 0
     # finished runs that lost a file load_state reads, or hold one it cannot parse
     for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
-                 "no-weights"):
+                 "no-weights", "other-weights", "short-weights", "list-state", "list-config", "pairs-config"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
+    (tmp_path / "list-state" / "state.json").write_text("[]")
+    (tmp_path / "list-config" / "config.json").write_text("[]")
+    (tmp_path / "pairs-config" / "config.json").write_text('[["seed", 7]]')
+    # the last refit's weights.tsv holds another refit's strata, or only some of its rows
+    shutil.copy(older / "iter_001" / "weights.tsv", tmp_path / "other-weights" / "iter_002" / "weights.tsv")
+    short = tmp_path / "short-weights" / "iter_002" / "weights.tsv"
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
     (tmp_path / "no-counts" / "state.json").write_text('{"format": 2}')
     state = json.loads((older / "state.json").read_text())
     (tmp_path / "text-count" / "state.json").write_text(json.dumps({**state, "iterations_completed": "x"}))
@@ -208,7 +225,12 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("no-counts", "state.json holds no non-negative integer 'iterations_completed'"),
                       ("text-count", "state.json holds no non-negative integer 'iterations_completed'"),
                       ("negative-count", "state.json holds no non-negative integer 'samples'"),
-                      ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv")):
+                      ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv"),
+                      ("other-weights", "iter_002/weights.tsv: its 22 strata do not match the 22 recomputed"),
+                      ("short-weights", "iter_002/weights.tsv: its 3 strata do not match the 22 recomputed"),
+                      ("list-state", "state.json must hold a JSON object"),
+                      ("list-config", "config.json must hold a JSON object"),
+                      ("pairs-config", "config.json must hold a JSON object")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err
@@ -302,15 +324,21 @@ def test_allocation_infeasible_is_exit_code_4(tmp_path, capsys):
     assert "allocation infeasible" in capsys.readouterr().err
 
 
-def test_mode_and_evaluator_overrides(tmp_path, config_path):
+def test_mode_and_evaluator_overrides(tmp_path, config_path, capsys):
     run_dir = tmp_path / "single"
     assert main([
-        "run", "--config", str(config_path), "--run-dir", str(run_dir),
-        "--mode", "single", "--seed", "9", "--evaluator", "quadratic",
+        "run", "--config", str(config_path), "--run-dir", str(run_dir), "--mode", "single", "--seed", "9",
     ]) == 0
     stored = json.loads((run_dir / "config.json").read_text())
     assert stored["mode"] == "single"
     assert stored["seed"] == 9
+    # the objective kind is the config's alone: there is no flag to switch it
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "--config", str(config_path), "--run-dir", str(tmp_path / "other"), "--evaluator", "quadratic"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --evaluator" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
 
 
 def test_commands_end_their_children_inside_the_lock(tmp_path, monkeypatch, spawned, capsys):

@@ -42,8 +42,7 @@ def test_small_layout_22_strata():
 def test_single_inner_stratum_layout():
     s = build_strata(0.9, 0.01, 1)
     assert s.n_strata == 3
-    assert s.lower(1) == pytest.approx(0.8)
-    assert s.upper(1) == pytest.approx(1.0)
+    np.testing.assert_allclose(s.bounds(), [-np.inf, 0.8, 1.0, np.inf])
     np.testing.assert_allclose(s.midpoints(), [-np.inf, 0.9, np.inf])
 
 
@@ -74,18 +73,18 @@ def test_bin_partition_property():
     idx = s.bin_many(xs)
     assert idx.min() >= 0 and idx.max() < s.n_strata
     # interval membership check for every point
-    lowers = np.array([s.lower(i) for i in range(s.n_strata)])
-    uppers = np.array([s.upper(i) for i in range(s.n_strata)])
-    assert ((xs >= lowers[idx]) | (idx == 0)).all()
-    assert (xs < uppers[idx]).all()
+    bounds = s.bounds()
+    assert (xs >= bounds[idx]).all()
+    assert (xs < bounds[idx + 1]).all()
 
 
 @given(st.floats(-2, 2), st.floats(0.001, 0.2), st.integers(1, 50))
 def test_bin_total_and_single_valued(c, sigma, inner):
     s = build_strata(c, sigma, inner)
     xs = (c, c - 20 * sigma, c + 20 * sigma, c + 0.123 * sigma)
+    bounds = s.bounds()
     for x, i in zip(xs, s.bin_many(xs)):
-        assert s.lower(i) <= x < s.upper(i) or (i == 0 and x < s.upper(0))
+        assert bounds[i] <= x < bounds[i + 1]
 
 
 FAR = np.array([-np.inf, -1.7e308, -1e300, -1e30, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e30, 1e300, 1.7e308, np.inf])
@@ -197,8 +196,8 @@ CUTOFF = strata_module._SERIAL_BATCHES * BATCH
     "pool_size",
     [
         1, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000, 3 * (1 << 16) + 17, 2_000_000,
-        2 * BATCH + 17,  # three batches: the last, partial one is the caller's
-        3 * BATCH + 17,  # four batches: the last, partial one is the helper's
+        2 * BATCH + 17,  # three batches: one for the caller, two for the helper
+        3 * BATCH + 17,  # four batches: two each, the helper's last one partial
         CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the serial cutoff
     ],
 )
@@ -211,11 +210,11 @@ def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
     w = estimate_weights(s, AFFINE6, pool_size, rng)
     expected = _serial_pool_counts(s, AFFINE6, pool_size, reference_rng)
     np.testing.assert_array_equal(w.p1, expected / pool_size)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_pool_keeps_a_buffered_half_output(monkeypatch):
-    # a 32-bit draw leaves half a PCG64 output buffered; rng.random keeps it, advance would not
+    # a 32-bit draw leaves half a PCG64 output buffered; doubles never use it, so the split
+    # pool still counts what the serial loop does
     monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
     rng, reference_rng = substream(7, "pool", 0), substream(7, "pool", 0)
     for g in (rng, reference_rng):
@@ -224,9 +223,6 @@ def test_pool_keeps_a_buffered_half_output(monkeypatch):
     s = build_strata(0.6, 0.01, 100)
     w = estimate_weights(s, AFFINE6, 3 * BATCH + 5, rng)
     np.testing.assert_array_equal(w.hits(), _serial_pool_counts(s, AFFINE6, 3 * BATCH + 5, reference_rng))
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert rng.integers(0, 1 << 30, size=4, dtype=np.int32).tolist() == reference_rng.integers(
-        0, 1 << 30, size=4, dtype=np.int32).tolist()
 
 
 def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
