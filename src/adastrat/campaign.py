@@ -269,15 +269,13 @@ def load_state(run_dir: Path) -> RunState:
         problem = "holds no committed campaign; start it with `run`" if run_dir.is_dir() else "does not exist"
         raise ConfigError(f"run directory {run_dir} {problem}")
     doc = _read(persist.read_doc, run_dir / "state.json")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{run_dir / 'state.json'} must hold a JSON object")
     if doc.get("format") != STATE_FORMAT:
         raise ConfigError(f"run directory {run_dir} has state format {doc.get('format', 1)}, "
                           f"not {STATE_FORMAT}")
     for key in ("iterations_completed", "next_id", "samples"):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
-    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"), str(run_dir / "config.json"))
+    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"))
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
     state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, doc["samples"])

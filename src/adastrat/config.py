@@ -136,10 +136,7 @@ _RETIRED = {
 }
 
 
-def config_from_dict(doc: dict[str, Any], source: str = "config") -> RunConfig:
-    """The validated config ``doc`` holds; ``source`` names where it came from in errors."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source} must hold a JSON object")
+def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     doc = dict(doc)
     for key, fixed in _RETIRED.items():
         value = doc.pop(key, fixed)
@@ -182,7 +179,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return config_from_dict(doc, f"config file {path}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return config_from_dict(doc)
 
 
 def build_evaluator(config: RunConfig, run_dir: Optional[Path] = None):

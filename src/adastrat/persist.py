@@ -65,7 +65,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def write_table(path: Path, columns: dict[str, Sequence], head: str = "") -> None:
     """A table given column by column, each under its header name, after the ``head`` lines."""
-    atomic_write_text(path, head + "\t".join(columns) + "\n" + "".join(_line(row) for row in zip(*columns.values())))
+    atomic_write_text(path, head + "\t".join(columns) + "\n" + "".join(_line(row) for row in zip(*columns.values(), strict=True)))
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -79,7 +79,10 @@ def write_doc(path: Path, doc: dict) -> None:
 
 
 def read_doc(path: Path) -> dict:
-    return json.loads(path.read_text())
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("must hold a JSON object")
+    return doc
 
 
 def iter_dir(run_dir: Path, iteration: int) -> Path:
@@ -155,8 +158,10 @@ def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
     lines = path.read_text().splitlines()
     rows = np.array([[float(c) for c in line.split("\t")[1:4]] for line in lines[2:]]).reshape(-1, 3)
     bounds = strata.bounds()
-    if rows.shape[0] != strata.n_strata or (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
-        raise ValueError(f"its {rows.shape[0]} strata do not match the {strata.n_strata} recomputed from the samples")
+    if rows.shape[0] != strata.n_strata:
+        raise ValueError(f"holds {rows.shape[0]} strata, not the {strata.n_strata} recomputed from the samples")
+    if (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
+        raise ValueError("its lower/upper edges differ from the strata recomputed from the samples")
     # a contiguous p1, as the campaign's was: numpy sums a strided one in another order
     return StratumWeights(p1=np.ascontiguousarray(rows[:, 2]), pool_size=int(lines[0].split("\t")[1]))
 

@@ -226,11 +226,11 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("text-count", "state.json holds no non-negative integer 'iterations_completed'"),
                       ("negative-count", "state.json holds no non-negative integer 'samples'"),
                       ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv"),
-                      ("other-weights", "iter_002/weights.tsv: its 22 strata do not match the 22 recomputed"),
-                      ("short-weights", "iter_002/weights.tsv: its 3 strata do not match the 22 recomputed"),
-                      ("list-state", "state.json must hold a JSON object"),
-                      ("list-config", "config.json must hold a JSON object"),
-                      ("pairs-config", "config.json must hold a JSON object")):
+                      ("other-weights", "iter_002/weights.tsv: its lower/upper edges differ from the strata recomputed"),
+                      ("short-weights", "iter_002/weights.tsv: holds 3 strata, not the 22 recomputed"),
+                      ("list-state", "state.json: must hold a JSON object"),
+                      ("list-config", "config.json: must hold a JSON object"),
+                      ("pairs-config", "config.json: must hold a JSON object")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err

@@ -162,10 +162,11 @@ def test_mix_p2_trivials():
 
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 30))
 def test_mix_p2_is_convex_combination(obs, pred, count):
-    # an empty stratum's observation is NaN; it gets exactly the prediction
-    m = mix_p2(np.array([obs if count else np.nan]), np.array([pred]), np.array([count]))[0]
+    m = mix_p2(np.array([obs]), np.array([pred]), np.array([count]))[0]
     if count == 0:
         assert m == pred
+        # an empty stratum's observation is NaN; it too gets exactly the prediction
+        assert mix_p2(np.array([np.nan]), np.array([pred]), np.array([count]))[0] == pred
     else:
         assert min(obs, pred) - 1e-12 <= m <= max(obs, pred) + 1e-12
         if count >= N_CONFIDENT:
