@@ -275,7 +275,11 @@ def load_state(run_dir: Path) -> RunState:
     for key in ("iterations_completed", "next_id", "samples"):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
-    config = config_from_dict(_read(persist.read_doc, run_dir / "config.json"))
+    config_doc = _read(persist.read_doc, run_dir / "config.json")
+    try:
+        config = config_from_dict(config_doc)
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read {run_dir / 'config.json'}: {exc}") from None
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
     state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, doc["samples"])

@@ -6,10 +6,11 @@ table of measured samples. A load reads only ``config.json``, ``state.json``,
 the committed rows and the last refit's ``weights.tsv`` (a large pool to
 redo), and recomputes the model, strata and estimate from the samples;
 the weights are taken only if their ``lower``/``upper`` edges are exactly
-those of the recomputed strata. ``model.json``, ``estimate.*``,
-``conditional.tsv`` and ``allocation.tsv`` are outputs only. Loading writes
-nothing; the next append cuts off any rows past the commit. Every other
-file is replaced atomically (a uniquely named temp file, then a rename).
+those of the recomputed strata and their ``p1`` is whole counts over the
+pool size. ``model.json``, ``estimate.*``, ``conditional.tsv`` and
+``allocation.tsv`` are outputs only. Loading writes nothing; the next append
+cuts off any rows past the commit. Every other file is replaced atomically
+(a uniquely named temp file, then a rename).
 Tables are tab-separated text, the derived ones written column by column;
 documents are JSON. Floats are serialized with shortest round-trip
 precision, so a reloaded run is bit-identical to the run that wrote it
@@ -154,7 +155,8 @@ def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> No
 
 def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
     """The weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
-    theirs is refused. The ``variance`` column is for the reader."""
+    theirs, or whose ``p1`` is not the counts of its pool divided by ``pool_size``, is
+    refused. The ``variance`` column is for the reader."""
     lines = path.read_text().splitlines()
     rows = np.array([[float(c) for c in line.split("\t")[1:4]] for line in lines[2:]]).reshape(-1, 3)
     bounds = strata.bounds()
@@ -163,7 +165,11 @@ def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
     if (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
         raise ValueError("its lower/upper edges differ from the strata recomputed from the samples")
     # a contiguous p1, as the campaign's was: numpy sums a strided one in another order
-    return StratumWeights(p1=np.ascontiguousarray(rows[:, 2]), pool_size=int(lines[0].split("\t")[1]))
+    p1, pool_size = np.ascontiguousarray(rows[:, 2]), int(lines[0].split("\t")[1])
+    hits = np.rint(p1 * pool_size)
+    if pool_size < 1 or (hits < 0).any() or hits.sum() != pool_size or (hits / pool_size != p1).any():
+        raise ValueError(f"its p1 column is not stratum counts divided by its pool_size {pool_size}")
+    return StratumWeights(p1=p1, pool_size=pool_size)
 
 
 # -- per-iteration tables ----------------------------------------------------

@@ -21,9 +21,9 @@ from .surrogate import SurrogateModel
 # Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
 # keeps the batch matmul under OpenBLAS's threading threshold (between 420 000
 # and 480 000 elements with OpenBLAS 0.3.31), above which a BLAS worker spins
-# on the other core for about 0.1 s after each call. At 2**16 rows the two
-# pool threads' concurrent temporaries raised peak RSS by 3.4 MB; 2**14 and
-# 2**16 ran within 5% of 2**15 on time, 2**12 ran 60% slower.
+# on the other core for about 0.1 s after each call. On a 10**7 pool over 102
+# strata (2 cores, three alternating rounds of 9), 2**16 ran within 3% of
+# 2**15 but raised peak RSS by about 5 MB, and 2**14 ran about 10% slower.
 _POOL_BATCH = 1 << 15
 # Pools of at most this many batches (2**20 rows) are drawn and binned on the
 # caller's thread through ``rng`` itself: below that, a helper thread costs
@@ -158,6 +158,12 @@ def estimate_weights(
     counts equal a serial loop's; where ``rng`` ends is left unspecified.
     Smaller pools and other bit generators (the split needs PCG64's
     ``advance``) are drawn through ``rng`` on the caller's thread.
+
+    Most rows fall below the band, so each batch counts its rows with
+    ``x < edges[0]`` into stratum 0 and bins only the others. That is exact:
+    under ``bin_many``'s rules (an edge belongs to the higher stratum, -inf
+    to stratum 0) stratum 0 is exactly ``x < edges[0]``, and a NaN row fails
+    that test, so it still reaches ``bin_many`` and raises ``BoundsError``.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -168,8 +174,10 @@ def estimate_weights(
         counts = np.zeros(strata.n_strata, dtype=np.int64)
         buffer = np.empty((min(_POOL_BATCH, rows), dim))
         for start in range(0, rows, _POOL_BATCH):
-            us = generator.random(out=buffer[: rows - start])
-            counts += np.bincount(strata.bin_many(model.predict_normalized(us)), minlength=strata.n_strata)
+            x = model.predict_normalized(generator.random(out=buffer[: rows - start]))
+            rest = np.compress(~(x < strata.edges[0]), x)
+            counts[0] += x.size - rest.size
+            counts += np.bincount(strata.bin_many(rest), minlength=strata.n_strata)
         return counts
 
     bits = rng.bit_generator

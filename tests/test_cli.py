@@ -199,7 +199,8 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     assert main(["run", "--config", str(config_path), "--run-dir", str(older)]) == 0
     # finished runs that lost a file load_state reads, or hold one it cannot parse
     for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
-                 "no-weights", "other-weights", "short-weights", "list-state", "list-config", "pairs-config"):
+                 "no-weights", "other-weights", "short-weights", "bad-p1", "list-state", "list-config",
+                 "pairs-config", "text-seed"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
@@ -210,6 +211,14 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     shutil.copy(older / "iter_001" / "weights.tsv", tmp_path / "other-weights" / "iter_002" / "weights.tsv")
     short = tmp_path / "short-weights" / "iter_002" / "weights.tsv"
     short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
+    # one p1 cell of the last refit's weights.tsv edited to 0.9
+    bad_p1 = tmp_path / "bad-p1" / "iter_002" / "weights.tsv"
+    lines = bad_p1.read_text().splitlines(keepends=True)
+    cells = lines[3].split("\t")
+    lines[3] = "\t".join([*cells[:3], "0.9", *cells[4:]])
+    bad_p1.write_text("".join(lines))
+    text_seed = tmp_path / "text-seed" / "config.json"
+    text_seed.write_text(json.dumps({**json.loads(text_seed.read_text()), "seed": "x"}))
     (tmp_path / "no-counts" / "state.json").write_text('{"format": 2}')
     state = json.loads((older / "state.json").read_text())
     (tmp_path / "text-count" / "state.json").write_text(json.dumps({**state, "iterations_completed": "x"}))
@@ -228,9 +237,11 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("no-samples", "samples.tsv"), ("no-weights", "weights.tsv"),
                       ("other-weights", "iter_002/weights.tsv: its lower/upper edges differ from the strata recomputed"),
                       ("short-weights", "iter_002/weights.tsv: holds 3 strata, not the 22 recomputed"),
+                      ("bad-p1", "iter_002/weights.tsv: its p1 column is not stratum counts divided by its pool_size"),
                       ("list-state", "state.json: must hold a JSON object"),
                       ("list-config", "config.json: must hold a JSON object"),
-                      ("pairs-config", "config.json: must hold a JSON object")):
+                      ("pairs-config", "config.json: must hold a JSON object"),
+                      ("text-seed", "config.json: seed must be an integer, got 'x'")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err

@@ -212,6 +212,34 @@ def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
     np.testing.assert_array_equal(w.p1, expected / pool_size)
 
 
+BAND = build_strata(0.6, 0.01, 100)
+FLAT6 = replace(AFFINE6, coefficients=np.zeros(6))
+
+
+@pytest.mark.parametrize("serial_batches", [None, 0], ids=["cutoff", "helper-always"])
+@pytest.mark.parametrize(
+    "strata, model, only",
+    [
+        (BAND, replace(FLAT6, intercept=BAND.edges[0]), 1),  # an edge belongs to the higher stratum
+        (BAND, replace(FLAT6, intercept=np.nextafter(BAND.edges[0], -np.inf)), 0),
+        (build_strata(-1.0, 0.01, 100), AFFINE6, 101),
+        (degenerate_split(0.6), AFFINE6, None),
+    ],
+    ids=["on-first-edge", "below-first-edge", "above-band", "degenerate-split"],
+)
+def test_below_band_count_matches_serial_loop(monkeypatch, strata, model, only, serial_batches):
+    if serial_batches is not None:
+        monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", serial_batches)
+    pool_size = 3 * BATCH + 17
+    w = estimate_weights(strata, model, pool_size, substream(8, "pool", 0))
+    expected = _serial_pool_counts(strata, model, pool_size, substream(8, "pool", 0))
+    np.testing.assert_array_equal(w.hits(), expected)
+    if only is None:
+        assert (expected > 0).all()
+    else:
+        assert expected[only] == pool_size
+
+
 def test_pool_keeps_a_buffered_half_output(monkeypatch):
     # a 32-bit draw leaves half a PCG64 output buffered; doubles never use it, so the split
     # pool still counts what the serial loop does
