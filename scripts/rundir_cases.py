@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Write seven fixed run directories for comparing two checkouts byte for byte.
+"""Write eight fixed run directories for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
 writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate, DIR/external,
-DIR/product and DIR/stopped:
+DIR/product, DIR/stopped and DIR/gap:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -22,7 +22,12 @@ DIR/product and DIR/stopped:
   evaluations) at seed 2;
 - ``stopped``: a multi campaign (30 + 20 + 10 + 10 evaluations, noise 0.05)
   whose stop rule ends it after its first iteration, at seed 1; the campaign
-  is run twice on the same directory, and the second run must change nothing.
+  is run twice on the same directory, and the second run must change nothing;
+- ``gap``: a multi campaign (20 + 20 + 0 + 10 evaluations, 10^5 pool) at
+  seed 4 whose zero-budget iteration 2 commits without a refit, so
+  ``iter_002`` holds no ``model.json`` or ``weights.tsv`` and iteration 3
+  allocates under iteration 1's refit; like ``multi-iterate``, each
+  iteration is re-entered through ``load_state``.
 
 Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
@@ -75,6 +80,10 @@ CASES = {
         preliminary_count=30, iteration_budgets=(20, 10, 10), inner_strata=20, pool_size=100_000,
         mode="multi", seed=1, stop_unbiased_variance_below=1.0,
     ),
+    "gap": RunConfig(
+        **REFERENCE, preliminary_count=20, iteration_budgets=(20, 0, 10), inner_strata=20,
+        pool_size=100_000, mode="multi", seed=4,
+    ),
 }
 
 
@@ -88,7 +97,7 @@ def main() -> int:
         run_dir = args.out / name
         if run_dir.exists():
             parser.error(f"{run_dir} already exists")
-        if name == "multi-iterate":  # every iteration starts from the persisted state
+        if name in ("multi-iterate", "gap"):  # every iteration starts from the persisted state
             run_preliminary(config, run_dir)
             for budget in config.iteration_budgets:
                 state = load_state(run_dir)

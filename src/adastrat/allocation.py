@@ -195,13 +195,14 @@ def select_candidates(
     model: SurrogateModel,
     additional: np.ndarray,
     rng: np.random.Generator,
-) -> list[tuple[int, np.ndarray]]:
+) -> np.ndarray:
     """Rejection-sample parameter vectors until each stratum quota is filled.
 
     Uniform draws are pushed through the surrogate and binned; the first
     ``additional[i]`` hits per stratum are kept, so the output is
-    deterministic for a given generator state. Results are ordered by
-    (stratum index, draw order). A stratum still unfilled after
+    deterministic for a given generator state. The picks come back as one
+    ``(additional.sum(), d)`` array in natural units, ordered by (stratum
+    index, draw order). A stratum still unfilled after
     ``PER_STRATUM_CAP * additional[i]`` total draws raises
     UnfillableStratumError; the cap is checked after each batch of
     ``_SEARCH_BATCH`` rows, so it is met to within one batch.
@@ -218,7 +219,7 @@ def select_candidates(
     additional = np.asarray(additional, dtype=np.int64)
     need = additional.copy()
     space = model.space
-    kept: dict[int, list[np.ndarray]] = {int(i): [] for i in np.flatnonzero(additional > 0)}
+    kept: list[list[np.ndarray]] = [[] for _ in range(strata.n_strata)]  # per stratum, its rows per batch
     hits = np.zeros(strata.n_strata, dtype=np.int64)
     drawn = 0
     while need.any():
@@ -229,7 +230,7 @@ def select_candidates(
         hits += np.bincount(idx, minlength=strata.n_strata)
         for i in np.flatnonzero(need > 0):
             rows = np.flatnonzero(idx == i)[: need[i]]
-            kept[int(i)].extend(ws[rows])
+            kept[i].append(ws[rows])
             need[i] -= rows.size
         for i in np.flatnonzero(need > 0):
             if drawn >= PER_STRATUM_CAP * additional[i]:
@@ -239,7 +240,4 @@ def select_candidates(
                     found=int(additional[i] - need[i]),
                     estimated_weight=float(hits[i] / drawn),
                 )
-    out: list[tuple[int, np.ndarray]] = []
-    for i in sorted(kept):
-        out.extend((i, w) for w in kept[i])
-    return out
+    return np.concatenate([np.empty((0, space.dim))] + [rows for chunks in kept for rows in chunks])

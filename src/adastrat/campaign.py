@@ -66,28 +66,39 @@ class RunState:
 
     def observations(self) -> tuple[np.ndarray, np.ndarray]:
         """(surrogate value under the current model, true objective) of every sample."""
-        j_tilde = self.model.predict_many(np.vstack([s.params for s in self.samples]))
-        return j_tilde, np.array([s.j_true for s in self.samples])
+        ws, y = _arrays(self.samples)
+        return self.model.predict_many(ws), y
 
 
-def _model_and_strata(cfg: RunConfig, samples: list[SampleRecord]) -> tuple[SurrogateModel, StratumSet]:
-    """Fit the surrogate on ``samples`` and lay the strata out around the critical value."""
-    model = fit(cfg.space, samples)
-    try:
-        strata = build_strata(
-            cfg.critical_value, model.sigma, cfg.inner_strata, halfwidth_sigmas=cfg.band_halfwidth_sigmas
-        )
-    except DegenerateModelError:
-        # perfect fit: the band collapses, split once at the critical value
-        strata = degenerate_split(cfg.critical_value)
-    return model, strata
+def _arrays(samples: list[SampleRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``samples`` as rows, and their true objectives."""
+    return np.vstack([s.params for s in samples]), np.array([s.j_true for s in samples])
+
+
+def _last_refit(state: RunState) -> int:
+    """The iteration whose fit, strata and weights are in force: in multi mode the newest one
+    that added samples, in single mode the preliminary one."""
+    return max((s.iteration for s in state.samples), default=0) if state.config.mode == "multi" else 0
 
 
 def _fit_and_stratify(state: RunState, k: int) -> None:
+    """Fit the surrogate on the samples of iterations up to ``k`` and lay the strata out around the critical value."""
     cfg = state.config
-    state.model, state.strata = _model_and_strata(cfg, state.samples)
-    rng = substream(cfg.seed, "pool", k)
-    state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, rng)
+    state.model = fit(cfg.space, *_arrays([s for s in state.samples if s.iteration <= k]))
+    try:
+        state.strata = build_strata(
+            cfg.critical_value, state.model.sigma, cfg.inner_strata, halfwidth_sigmas=cfg.band_halfwidth_sigmas
+        )
+    except DegenerateModelError:
+        # perfect fit: the band collapses, split once at the critical value
+        state.strata = degenerate_split(cfg.critical_value)
+
+
+def _refit(state: RunState, k: int) -> None:
+    """The refit of iteration ``k``: model and strata, and the weights from its own pool."""
+    cfg = state.config
+    _fit_and_stratify(state, k)
+    state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, substream(cfg.seed, "pool", k))
 
 
 def _estimate(state: RunState) -> RareEventEstimate:
@@ -96,11 +107,10 @@ def _estimate(state: RunState) -> RareEventEstimate:
     return build_estimate(state.weights, state.strata, counts, p2_obs)
 
 
-def _evaluate_new(state: RunState, params: np.ndarray | list[np.ndarray], iteration: int) -> list[SampleRecord]:
-    """Run the expensive evaluator on new points and append the survivors."""
-    requests = [
-        EvaluationRequest(id=state.next_id + i, params=np.asarray(w, dtype=float)) for i, w in enumerate(params)
-    ]
+def _evaluate_new(state: RunState, params: np.ndarray, iteration: int) -> None:
+    """Run the expensive evaluator on the rows of ``params`` and append the survivors."""
+    first = state.next_id
+    requests = [EvaluationRequest(id=first + i, params=w) for i, w in enumerate(params)]
     state.next_id += len(requests)
     outcome = evaluate_batch(state.evaluator, requests)
     if state.run_dir is not None:
@@ -110,30 +120,20 @@ def _evaluate_new(state: RunState, params: np.ndarray | list[np.ndarray], iterat
         raise EvaluationThresholdError(
             f"{len(outcome.failures)} of {len(requests)} evaluations failed (threshold {FAILURE_ABORT_FRACTION:.0%})"
         )
-    by_id = {r.id: r for r in requests}
-    new_records = [
-        SampleRecord(id=res.id, params=by_id[res.id].params, iteration=iteration, j_true=res.objective)
+    state.samples.extend(
+        SampleRecord(id=res.id, params=params[res.id - first], iteration=iteration, j_true=res.objective)
         for res in outcome.results
-    ]
-    state.samples.extend(new_records)
-    return new_records
+    )
 
 
-def _persist_iteration(
-    state: RunState,
-    table: Optional[ConditionalTable],
-    plan: Optional[AllocationPlan],
-    estimate: Optional[RareEventEstimate],
-    write_model: bool,
-) -> None:
+def _persist_iteration(state: RunState, table: Optional[ConditionalTable], plan: Optional[AllocationPlan]) -> None:
     if state.run_dir is None:
         return
     run_dir, iteration = state.run_dir, state.iteration
     d = persist.iter_dir(run_dir, iteration)
     d.mkdir(parents=True, exist_ok=True)
-    if write_model:
-        persist.write_model(d / "model.json", state.model)
-        persist.write_weights(d / "weights.tsv", state.strata, state.weights)
+    if _last_refit(state) == iteration:
+        persist.write_refit(d, state.model, state.strata, state.weights)
     else:  # a refit by an attempt that died before its commit describes no committed sample
         (d / "model.json").unlink(missing_ok=True)
         (d / "weights.tsv").unlink(missing_ok=True)
@@ -141,8 +141,8 @@ def _persist_iteration(
         persist.write_conditional(d / "conditional.tsv", table)
     if plan is not None:
         persist.write_allocation(d / "allocation.tsv", plan)
-    if estimate is not None:
-        persist.write_estimate(d, state.strata, estimate)
+    if iteration > 0:
+        persist.write_estimate(d, state.strata, state.estimates[-1])
     new = [s for s in state.samples if s.iteration == iteration]
     committed = len(state.samples) - len(new)
     persist.append_samples(run_dir / "samples.tsv", state.config.space.names, new, committed)
@@ -182,8 +182,8 @@ def _preliminary(state: RunState) -> RunState:
     else:
         params = sample_uniform(config.space, rng, config.preliminary_count)
     _evaluate_new(state, params, iteration=0)
-    _fit_and_stratify(state, 0)
-    _persist_iteration(state, None, None, None, write_model=True)
+    _refit(state, 0)
+    _persist_iteration(state, None, None)
     return state
 
 
@@ -197,7 +197,6 @@ def run_iteration(state: RunState, budget: int) -> RunState:
     k = state.iteration + 1
     table: Optional[ConditionalTable] = None
     plan: Optional[AllocationPlan] = None
-    refit_happened = False
     if budget > 0:
         table = build_conditional_table(state.strata, *state.observations())
         p2_for_allocation = table.p2_pred if cfg.mode == "single" else table.p2_mix
@@ -206,13 +205,12 @@ def run_iteration(state: RunState, budget: int) -> RunState:
             prune_share=cfg.allocation_prune_share,
         )
         candidates = select_candidates(state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k))
-        new_records = _evaluate_new(state, [w for _, w in candidates], iteration=k)
-        if cfg.mode == "multi" and new_records:
-            _fit_and_stratify(state, k)
-            refit_happened = True
+        _evaluate_new(state, candidates, iteration=k)
+        if _last_refit(state) == k:
+            _refit(state, k)
     state.iteration = k
     state.estimates.append(_estimate(state))
-    _persist_iteration(state, table, plan, state.estimates[-1], write_model=refit_happened)
+    _persist_iteration(state, table, plan)
     return state
 
 
@@ -255,10 +253,10 @@ def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
 
 
 def _read(reader, path: Path, *args):
-    """``reader(path, *args)``; a missing or unparseable file is a ConfigError that names it."""
+    """``reader(path, *args)``; a missing, unparseable or refused file is a ConfigError that names it."""
     try:
         return reader(path, *args)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError, ConfigError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
@@ -275,19 +273,14 @@ def load_state(run_dir: Path) -> RunState:
     for key in ("iterations_completed", "next_id", "samples"):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
-    config_doc = _read(persist.read_doc, run_dir / "config.json")
-    try:
-        config = config_from_dict(config_doc)
-    except ConfigError as exc:
-        raise ConfigError(f"cannot read {run_dir / 'config.json'}: {exc}") from None
+    config = _read(lambda path: config_from_dict(persist.read_doc(path)), run_dir / "config.json")
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
-    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space.names, doc["samples"])
-    # Only the weights are read back (their pool is costly), from the last refit: the
-    # preliminary one in single mode, in multi mode the newest iteration that added samples
-    # (not a newer weights.tsv an uncommitted attempt left). The rest is recomputed.
-    k = max(s.iteration for s in state.samples) if config.mode == "multi" else 0
-    state.model, state.strata = _model_and_strata(config, [s for s in state.samples if s.iteration <= k])
+    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"])
+    # Only the weights are read back (their pool is costly), from the last refit (not a
+    # newer weights.tsv an uncommitted attempt left). The rest is recomputed.
+    k = _last_refit(state)
+    _fit_and_stratify(state, k)
     state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", state.strata)
     if state.iteration > 0:
         state.estimates.append(_estimate(state))

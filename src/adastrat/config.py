@@ -73,8 +73,10 @@ class RunConfig:
             _finite(name, getattr(self, name))
         for b in self.iteration_budgets:
             _int("iteration budget", b)
-        if self.stop_unbiased_variance_below is not None:
-            _finite("stop_unbiased_variance_below", self.stop_unbiased_variance_below)
+        stop = self.stop_unbiased_variance_below
+        # the rule stops at 0 < variance < threshold, which no threshold <= 0 meets
+        if stop is not None and _finite("stop_unbiased_variance_below", stop) <= 0:
+            raise ConfigError(f"stop_unbiased_variance_below must be positive, got {stop!r}")
         for name in ("evaluator", "preliminary_design"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
@@ -102,6 +104,9 @@ class RunConfig:
         design = self.preliminary_design.get("type")
         if design not in ("random", "product"):
             raise ConfigError(f"preliminary_design type must be 'random' or 'product', got {design!r}")
+        extra = set(self.preliminary_design) - ({"type", "counts"} if design == "product" else {"type"})
+        if extra:
+            raise ConfigError(f"unknown {design} preliminary_design keys: {sorted(extra)}")
         if design == "product":
             counts = self.preliminary_design.get("counts")
             if not isinstance(counts, dict):
@@ -147,6 +152,10 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
         specs = doc["space"]
         if not isinstance(specs, list) or not all(isinstance(d, dict) and "name" in d for d in specs):
             raise ConfigError("space must be a list of {name, min, max[, group]} objects")
+        for d in specs:
+            extra = set(d) - {"name", "min", "max", "group"}
+            if extra:
+                raise ConfigError(f"unknown keys of space entry {d['name']!r}: {sorted(extra)}")
         dims = tuple(
             ParameterDef(
                 name=str(d["name"]),

@@ -12,6 +12,7 @@ serves all its children, and each child serves every batch until ``close``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import subprocess
@@ -24,6 +25,7 @@ from typing import BinaryIO, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .estimator import stratified_variance
 from .space import DEFAULT_SPACE, ParameterSpace
 
 RUN_DIR_ENV = "ADASTRAT_RUN_DIR"
@@ -38,6 +40,10 @@ SYNTHETIC_KINDS = ("quadratic", "linear")
 
 #: What one external request can raise without endangering the others: it fails alone.
 _REQUEST_ERRORS = (TimeoutError, EOFError, OSError, ValueError, OverflowError)
+
+#: Longest single wait for replies, in seconds; a longer timeout is met over several
+#: waits. ``select`` refuses waits past about 2**63 ns (an evaluator timeout of 1e10 s).
+_MAX_WAIT = 3600.0
 
 
 @dataclass(frozen=True)
@@ -162,14 +168,11 @@ def oracle_probability(
         raise ValueError(f"n must be >= 1, got {n}")
     space = objective.space
     exceed = 0
-    remaining = n
-    while remaining > 0:
-        m = min(batch, remaining)
-        ws = space.denormalize_many(rng.random((m, space.dim)))
+    for start in range(0, n, batch):
+        ws = space.denormalize_many(rng.random((min(batch, n - start), space.dim)))
         exceed += int((objective.evaluate_many(ws) > critical_value).sum())
-        remaining -= m
     p = exceed / n
-    return p, float(np.sqrt(p * (1.0 - p) / n))
+    return p, math.sqrt(stratified_variance([1.0], [p], [n]))  # naive MC: one stratum
 
 
 class ExternalEvaluator:
@@ -232,7 +235,8 @@ class ExternalEvaluator:
                     return results, failures
                 fds = {self._children[slot][0].stdout.fileno(): slot for slot in flight}
                 earliest = min(started for _, started, _ in flight.values())
-                ready, _, _ = select.select(list(fds), [], [], max(0.0, earliest + self.timeout - time.monotonic()))
+                wait = min(_MAX_WAIT, max(0.0, earliest + self.timeout - time.monotonic()))
+                ready, _, _ = select.select(list(fds), [], [], wait)
                 for fd, slot in fds.items():
                     req, started, buf = flight.pop(slot)
                     try:

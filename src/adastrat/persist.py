@@ -30,9 +30,8 @@ import numpy as np
 
 from .allocation import AllocationPlan
 from .conditional import ConditionalTable
-from .errors import ConfigError
 from .estimator import RareEventEstimate
-from .space import SampleRecord
+from .space import ParameterSpace, SampleRecord
 from .strata import StratumSet, StratumWeights
 from .surrogate import SurrogateModel
 
@@ -112,29 +111,30 @@ def append_samples(
         f.write(rows.encode())
 
 
-def read_samples(path: Path, names: Sequence[str], count: int) -> list[SampleRecord]:
-    """The first ``count`` rows of the sample table; rows past them are not committed."""
+def read_samples(path: Path, space: ParameterSpace, count: int) -> list[SampleRecord]:
+    """The first ``count`` rows of the sample table; rows past them are not committed. A row
+    whose point is outside ``space`` or whose ``j_true`` is not finite is refused."""
     header, rows = read_table(path)
-    columns = _sample_header(names)
+    columns = _sample_header(space.names)
     if header != columns or len(rows) < count:
-        raise ConfigError(f"sample table {path} does not hold {count} committed rows of {columns}")
-    d = len(names)
+        raise ValueError(f"does not hold {count} committed rows of {columns}")
+    rows, d = rows[:count], space.dim
+    params = space.validate_many(np.array([[float(c) for c in r[2 : 2 + d]] for r in rows]))
+    j_true = np.array([float(r[2 + d]) for r in rows])
+    if not np.isfinite(j_true).all():
+        raise ValueError(f"row {np.flatnonzero(~np.isfinite(j_true))[0]} has no finite j_true")
     return [
-        SampleRecord(
-            id=int(r[0]),
-            iteration=int(r[1]),
-            params=np.array([float(c) for c in r[2 : 2 + d]]),
-            j_true=float(r[2 + d]),
-        )
-        for r in rows[:count]
+        SampleRecord(id=int(r[0]), iteration=int(r[1]), params=w, j_true=float(j))
+        for r, w, j in zip(rows, params, j_true, strict=True)
     ]
 
 
 # -- model / weights -------------------------------------------------------
 
-def write_model(path: Path, model: SurrogateModel) -> None:
+def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weights: StratumWeights) -> None:
+    """A refit's ``model.json``, for the reader, and its ``weights.tsv``, which a load reads back."""
     write_doc(
-        path,
+        dir_path / "model.json",
         {
             "dims": model.space.to_list(),
             "intercept": model.intercept,
@@ -143,11 +143,8 @@ def write_model(path: Path, model: SurrogateModel) -> None:
             "training_count": model.training_count,
         },
     )
-
-
-def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> None:
     bounds = strata.bounds()
-    write_table(path, {
+    write_table(dir_path / "weights.tsv", {
         "stratum": range(strata.n_strata), "lower": bounds[:-1], "upper": bounds[1:],
         "p1": weights.p1, "variance": weights.variance,
     }, head=f"# pool_size\t{weights.pool_size}\n")

@@ -69,7 +69,7 @@ class ParameterSpace:
             row, col = np.argwhere(bad)[0]
             d = self.dims[col]
             raise BoundsError(
-                f"parameter {d.name!r}: value {ws[row, col]!r} outside [{d.min}, {d.max}] "
+                f"parameter {d.name!r}: value {float(ws[row, col])!r} outside [{d.min}, {d.max}] "
                 f"(row {row})"
             )
         return ws

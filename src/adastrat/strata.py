@@ -38,7 +38,6 @@ class StratumSet:
     edges: np.ndarray
     critical_value: float
     sigma: float
-    inner_count: int
 
     @property
     def n_strata(self) -> int:
@@ -81,14 +80,14 @@ class StratumSet:
 def build_strata(
     critical_value: float,
     sigma: float,
-    inner_count: int,
+    inner_strata: int,
     halfwidth_sigmas: float = 10.0,
 ) -> StratumSet:
-    """Equal-width band of ``inner_count`` bins spanning critical +- halfwidth*sigma.
+    """Equal-width band of ``inner_strata`` bins spanning critical +- halfwidth*sigma.
 
     Edges are generated symmetrically about the critical value so that, for an
     even bin count, the critical value is itself an edge (exactly, not to
-    rounding). Total strata = inner_count + 2 once the tails are added. Bins
+    rounding). Total strata = inner_strata + 2 once the tails are added. Bins
     of at most 2**-44 of the largest edge (256 ulps) are refused: the edges'
     rounding then stays well under a bin, so ``bin_many``'s guess is exact
     to within one bin.
@@ -98,15 +97,15 @@ def build_strata(
             f"residual scale {sigma!r} is zero or too small to carry a stratum band "
             f"around {critical_value!r}"
         )
-    if inner_count < 1:
-        raise ValueError(f"inner_count must be >= 1, got {inner_count}")
+    if inner_strata < 1:
+        raise ValueError(f"inner_strata must be >= 1, got {inner_strata}")
     if halfwidth_sigmas <= 0.0:
         raise ValueError(f"halfwidth_sigmas must be positive, got {halfwidth_sigmas}")
-    width = 2.0 * halfwidth_sigmas * sigma / inner_count
-    edges = critical_value + (np.arange(inner_count + 1) - inner_count / 2.0) * width
+    width = 2.0 * halfwidth_sigmas * sigma / inner_strata
+    edges = critical_value + (np.arange(inner_strata + 1) - inner_strata / 2.0) * width
     if width <= 2.0**-44 * np.abs(edges).max():
         raise DegenerateModelError(f"bins of width {width!r} around {critical_value!r} are too narrow for floats")
-    return StratumSet(edges=edges, critical_value=critical_value, sigma=sigma, inner_count=inner_count)
+    return StratumSet(edges=edges, critical_value=critical_value, sigma=sigma)
 
 
 def degenerate_split(critical_value: float) -> StratumSet:
@@ -115,7 +114,6 @@ def degenerate_split(critical_value: float) -> StratumSet:
         edges=np.array([critical_value], dtype=float),
         critical_value=critical_value,
         sigma=0.0,
-        inner_count=0,
     )
 
 

@@ -8,12 +8,11 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError
-from .space import ParameterSpace, SampleRecord
+from .space import ParameterSpace
 
 # Pivot threshold for rank detection, relative to the largest pivot seen.
 _PIVOT_RTOL = 1e-10
@@ -42,27 +41,25 @@ class SurrogateModel:
         return self.intercept + np.asarray(us, dtype=float) @ self.coefficients
 
 
-def fit(space: ParameterSpace, samples: Sequence[SampleRecord]) -> SurrogateModel:
-    """Least-squares fit of the affine surrogate to evaluated samples.
+def fit(space: ParameterSpace, ws: np.ndarray, y: np.ndarray) -> SurrogateModel:
+    """Least-squares fit of the affine surrogate to evaluated points.
 
     Args:
-        space: the parameter box the samples live in.
-        samples: records whose ``j_true`` is present.
+        space: the parameter box the points live in.
+        ws: the points in natural units, one per row.
+        y: their objective values.
 
     Raises:
-        FitError: fewer than dim+1 samples, a sample without an objective
-            value, or a rank-deficient design.
+        FitError: fewer than dim+1 points, an objective value that is not
+            finite, or a rank-deficient design.
     """
-    d = space.dim
-    if len(samples) < d + 1:
-        raise FitError(f"need at least {d + 1} evaluated samples to fit, got {len(samples)}")
-    for s in samples:
-        if s.j_true is None:
-            raise FitError(f"sample {s.id} has no objective value")
-    ws = np.vstack([s.params for s in samples])
-    y = np.array([s.j_true for s in samples], dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = y.size, space.dim
+    if n < d + 1:
+        raise FitError(f"need at least {d + 1} evaluated samples to fit, got {n}")
+    if not np.isfinite(y).all():
+        raise FitError(f"sample row {np.flatnonzero(~np.isfinite(y))[0]} has no finite objective value")
     us = space.normalize_many(ws)
-    n = len(samples)
     design = np.column_stack([np.ones(n), us])
     names = ["intercept"] + space.names
     q, r = np.linalg.qr(design)

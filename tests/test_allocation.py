@@ -192,13 +192,13 @@ def test_plan_allocation_prunes_thin_pool_strata():
 def test_select_candidates_empty_and_single_stratum():
     strata = build_strata(0.5, 100.0, 1)  # the middle stratum swallows everything
     rng = substream(5, "sel")
-    assert select_candidates(strata, IDENTITY, np.zeros(3, dtype=int), rng) == []
+    assert select_candidates(strata, IDENTITY, np.zeros(3, dtype=int), rng).shape == (0, 1)
     rng = substream(5, "sel")
     picks = select_candidates(strata, IDENTITY, np.array([0, 3, 0]), rng)
     # the first three stream draws are kept verbatim
     expected = substream(5, "sel").random((1 << 16, 1))[:3, 0]
-    np.testing.assert_allclose([w[0] for _, w in picks], expected, rtol=0, atol=1e-12)
-    assert [i for i, _ in picks] == [1, 1, 1]
+    np.testing.assert_allclose(picks[:, 0], expected, rtol=0, atol=1e-12)
+    assert strata.bin_many(IDENTITY.predict_many(picks)).tolist() == [1, 1, 1]
 
 
 def test_select_candidates_rebin_consistency():
@@ -207,9 +207,9 @@ def test_select_candidates_rebin_consistency():
     additional[4] = 5
     additional[7] = 3
     picks = select_candidates(strata, IDENTITY, additional, substream(6, "rebin"))
-    assert len(picks) == 8
-    rebinned = strata.bin_many(IDENTITY.predict_many(np.vstack([w for _, w in picks])))
-    assert rebinned.tolist() == [stratum for stratum, _ in picks]
+    assert picks.shape == (8, 1)
+    rebinned = strata.bin_many(IDENTITY.predict_many(picks))
+    assert rebinned.tolist() == [4] * 5 + [7] * 3
 
 
 def test_select_candidates_unfillable_stratum(monkeypatch):
@@ -229,7 +229,7 @@ def test_select_candidates_deterministic():
     additional[5] = 4
     a = select_candidates(strata, IDENTITY, additional, substream(8, "det"))
     b = select_candidates(strata, IDENTITY, additional, substream(8, "det"))
-    np.testing.assert_array_equal(np.array([w for _, w in a]), np.array([w for _, w in b]))
+    np.testing.assert_array_equal(a, b)
 
 
 def first_hits(seed, additional):
@@ -254,8 +254,7 @@ def test_select_candidates_independent_of_batch_size(monkeypatch, batch):
     expected, _ = first_hits(9, QUOTAS)
     monkeypatch.setattr(allocation, "_SEARCH_BATCH", batch)
     picks = select_candidates(BAND, TILTED, QUOTAS, substream(9, "batch"))
-    assert [i for i, _ in picks] == [i for i, _ in expected]
-    np.testing.assert_array_equal(np.array([w for _, w in picks]), np.array([w for _, w in expected]))
+    np.testing.assert_array_equal(picks, np.array([w for _, w in expected]))
 
 
 class CountingGenerator:

@@ -75,7 +75,6 @@ def test_sigma_zero_fallback_two_strata():
     state = run_preliminary(cfg)
     assert state.model.sigma < 1e-12
     assert state.strata.n_strata == 2
-    assert state.strata.inner_count == 0
 
 
 def test_budget_zero_iteration_only_appends_estimate(tmp_path):
@@ -166,7 +165,7 @@ def _assert_loads_as_in_memory(run_dir, live):
     assert repr((m.intercept, m.sigma, m.training_count)) == repr((n.intercept, n.sigma, n.training_count))
     assert _bits(m.coefficients) == _bits(n.coefficients)
     a, b = loaded.strata, live.strata
-    assert (_bits(a.edges), repr(a.sigma), a.inner_count) == (_bits(b.edges), repr(b.sigma), b.inner_count)
+    assert (_bits(a.edges), repr(a.sigma)) == (_bits(b.edges), repr(b.sigma))
     assert _bits(loaded.weights.p1) == _bits(live.weights.p1)
     assert len(loaded.estimates) == min(len(live.estimates), 1)
     if live.estimates:

@@ -15,6 +15,7 @@ from adastrat import cli
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
 from adastrat.config import load_config
+from adastrat.space import DEFAULT_SPACE
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
@@ -177,6 +178,22 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         if "evaluation_timeout" in change:
             assert "evaluator block's timeout" in err
         assert not (run_dir / "samples.tsv").exists()
+    # settings a campaign would otherwise ignore are refused by name
+    space = DEFAULT_SPACE.to_list()
+    product = {"type": "product", "counts": {"geometry": 5, "freestream": 6}}
+    for k, (change, named) in enumerate([
+        ({"preliminary_design": {"type": "random", "count": 5}}, "['count']"),
+        ({"preliminary_design": {**product, "order": "F"}}, "['order']"),
+        ({"space": [{**space[0], "unit": "m"}, *space[1:]]}, "['unit']"),
+        ({"stop_unbiased_variance_below": 0}, "stop_unbiased_variance_below"),
+        ({"stop_unbiased_variance_below": -1e-9}, "stop_unbiased_variance_below"),
+    ]):
+        bad.write_text(json.dumps({**json.loads(config_path.read_text()), **change}))
+        run_dir = tmp_path / f"ignored{k}"
+        for command in ("init", "run"):
+            assert main([command, "--config", str(bad), "--run-dir", str(run_dir)]) == 2, change
+            assert named in capsys.readouterr().err, change
+        assert not (run_dir / "config.json").exists()
 
 
 def test_retired_keys_resume_at_their_fixed_values(tmp_path, config_path):
@@ -200,7 +217,7 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     # finished runs that lost a file load_state reads, or hold one it cannot parse
     for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
                  "no-weights", "other-weights", "short-weights", "bad-p1", "list-state", "list-config",
-                 "pairs-config", "text-seed"):
+                 "pairs-config", "text-seed", "nan-objective", "inf-param", "outside-param"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
@@ -217,6 +234,14 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     cells = lines[3].split("\t")
     lines[3] = "\t".join([*cells[:3], "0.9", *cells[4:]])
     bad_p1.write_text("".join(lines))
+    # one committed samples.tsv cell edited: j_true to nan, a parameter to inf or outside its box
+    for name, column, value in (("nan-objective", -1, "nan"), ("inf-param", 2, "inf"), ("outside-param", 3, "99.5")):
+        table = tmp_path / name / "samples.tsv"
+        lines = table.read_text().splitlines(keepends=True)
+        cells = lines[40].rstrip("\n").split("\t")
+        cells[column] = value
+        lines[40] = "\t".join(cells) + "\n"
+        table.write_text("".join(lines))
     text_seed = tmp_path / "text-seed" / "config.json"
     text_seed.write_text(json.dumps({**json.loads(text_seed.read_text()), "seed": "x"}))
     (tmp_path / "no-counts" / "state.json").write_text('{"format": 2}')
@@ -241,9 +266,15 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("list-state", "state.json: must hold a JSON object"),
                       ("list-config", "config.json: must hold a JSON object"),
                       ("pairs-config", "config.json: must hold a JSON object"),
-                      ("text-seed", "config.json: seed must be an integer, got 'x'")):
+                      ("text-seed", "config.json: seed must be an integer, got 'x'"),
+                      ("nan-objective", "samples.tsv: row 39 has no finite j_true"),
+                      ("inf-param", "samples.tsv: parameter 'aspect_ratio': value inf outside"),
+                      ("outside-param", "samples.tsv: parameter 'sweep': value 99.5 outside")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
+            assert why in capsys.readouterr().err
+        if name in ("nan-objective", "inf-param", "outside-param"):  # a resumed run is refused alike
+            assert main(["run", "--config", str(config_path), "--run-dir", str(tmp_path / name)]) == 2
             assert why in capsys.readouterr().err
 
 

@@ -15,7 +15,7 @@ from adastrat.conditional import (
 )
 from adastrat.errors import BoundsError, ContractError, DegenerateModelError
 from adastrat.rng import substream
-from adastrat.space import DEFAULT_SPACE, SampleRecord, sample_uniform
+from adastrat.space import DEFAULT_SPACE, sample_uniform
 from adastrat.strata import build_strata, degenerate_split
 from adastrat.surrogate import fit
 
@@ -120,9 +120,7 @@ def test_observe_p2_against_rejection_oracle(calibration):
     c = calibration["critical_value"]
     rng = substream(99, "fit")
     ws = sample_uniform(DEFAULT_SPACE, rng, 300)
-    model = fit(DEFAULT_SPACE, [
-        SampleRecord(i, w, j_true=float(j)) for i, (w, j) in enumerate(zip(ws, obj.evaluate_many(ws)))
-    ])
+    model = fit(DEFAULT_SPACE, ws, obj.evaluate_many(ws))
     strata = build_strata(c, model.sigma, 30)
 
     pool = sample_uniform(DEFAULT_SPACE, substream(100, "pool"), 400_000)

@@ -174,6 +174,14 @@ def test_external_timeout_reported_per_request():
         assert [r.id for r in out.results] == [1]
 
 
+def test_external_timeout_past_the_longest_select_wait_serves_a_batch():
+    # 1e10 s is past what one select call accepts (about 2**63 ns)
+    with _external("none", timeout=1e10, parallelism=2) as evaluator:
+        out = evaluate_batch(evaluator, _requests(4, "long"))
+    assert not out.failures
+    assert [r.id for r in out.results] == [0, 1, 2, 3]
+
+
 def test_external_wrong_id_detected():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "wrong"), 6)
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]

@@ -3,19 +3,15 @@ import pytest
 
 from adastrat.errors import FitError
 from adastrat.rng import substream
-from adastrat.space import DEFAULT_SPACE, ParameterDef, ParameterSpace, SampleRecord, sample_uniform
+from adastrat.space import DEFAULT_SPACE, ParameterDef, ParameterSpace, sample_uniform
 from adastrat.surrogate import fit
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
 
 
-def records(space, ws, ys):
-    return [SampleRecord(i, w, j_true=float(y)) for i, (w, y) in enumerate(zip(ws, ys))]
-
-
 def test_fit_exact_linear_one_dim():
     ws = sample_uniform(UNIT, substream(1, "lin"), 20)
-    model = fit(UNIT, records(UNIT, ws, 0.2 + 0.5 * ws[:, 0]))
+    model = fit(UNIT, ws, 0.2 + 0.5 * ws[:, 0])
     assert model.intercept == pytest.approx(0.2, abs=1e-10)
     assert model.coefficients[0] == pytest.approx(0.5, abs=1e-10)
     assert model.sigma < 1e-10
@@ -27,7 +23,7 @@ def test_fit_exact_linear_one_dim():
 
 def test_fit_constant_response():
     ws = sample_uniform(DEFAULT_SPACE, substream(2, "const"), 30)
-    model = fit(DEFAULT_SPACE, records(DEFAULT_SPACE, ws, np.full(30, 0.3)))
+    model = fit(DEFAULT_SPACE, ws, np.full(30, 0.3))
     assert model.intercept == pytest.approx(0.3, abs=1e-12)
     np.testing.assert_allclose(model.coefficients, 0.0, atol=1e-12)
     assert model.sigma == pytest.approx(0.0, abs=1e-12)
@@ -39,7 +35,7 @@ def test_fit_matches_normal_equations_oracle():
     ws = sample_uniform(DEFAULT_SPACE, rng, 50)
     us = DEFAULT_SPACE.normalize_many(ws)
     y = 0.1 + us @ np.array([0.5, -0.2, 0.1, 0.7, -0.05, 0.3]) + 0.2 * us[:, 3] * us[:, 0]
-    model = fit(DEFAULT_SPACE, records(DEFAULT_SPACE, ws, y))
+    model = fit(DEFAULT_SPACE, ws, y)
     design = np.column_stack([np.ones(50), us])
     beta = np.linalg.solve(design.T @ design, design.T @ y)
     assert model.intercept == pytest.approx(beta[0], rel=1e-8)
@@ -50,8 +46,7 @@ def test_residuals_orthogonal_to_design_columns():
     ws = sample_uniform(DEFAULT_SPACE, substream(4, "orth"), 80)
     us = DEFAULT_SPACE.normalize_many(ws)
     y = 0.3 + us @ np.arange(1.0, 7.0) / 10 + 0.1 * np.sin(7 * us[:, 0])
-    samples = records(DEFAULT_SPACE, ws, y)
-    model = fit(DEFAULT_SPACE, samples)
+    model = fit(DEFAULT_SPACE, ws, y)
     resid = y - model.predict_many(ws)
     design = np.column_stack([np.ones(80), us])
     for j in range(design.shape[1]):
@@ -61,8 +56,7 @@ def test_residuals_orthogonal_to_design_columns():
 def test_sigma_equals_rms_of_residuals():
     ws = sample_uniform(DEFAULT_SPACE, substream(5, "rms"), 40)
     y = 0.2 + 0.4 * DEFAULT_SPACE.normalize_many(ws)[:, 3] ** 2
-    samples = records(DEFAULT_SPACE, ws, y)
-    model = fit(DEFAULT_SPACE, samples)
+    model = fit(DEFAULT_SPACE, ws, y)
     resid = y - model.predict_many(ws)
     assert model.sigma == pytest.approx(float(np.sqrt(np.mean(resid**2))), abs=1e-12)
 
@@ -70,9 +64,8 @@ def test_sigma_equals_rms_of_residuals():
 def test_refit_is_bit_identical():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "bit"), 25)
     y = 0.1 + DEFAULT_SPACE.normalize_many(ws)[:, 0]
-    samples = records(DEFAULT_SPACE, ws, y)
-    a = fit(DEFAULT_SPACE, samples)
-    b = fit(DEFAULT_SPACE, samples)
+    a = fit(DEFAULT_SPACE, ws, y)
+    b = fit(DEFAULT_SPACE, ws, y)
     assert a.intercept == b.intercept and a.sigma == b.sigma
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
@@ -84,18 +77,18 @@ def test_rank_deficient_design_names_column():
     a = rng.random(20)
     ws = np.column_stack([a, 2 * a])
     with pytest.raises(FitError, match="b"):
-        fit(space, records(space, ws, a))
+        fit(space, ws, a)
 
 
 def test_insufficient_samples_error():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "few"), 6)
     with pytest.raises(FitError, match="at least 7"):
-        fit(DEFAULT_SPACE, records(DEFAULT_SPACE, ws, ws[:, 0]))
+        fit(DEFAULT_SPACE, ws, ws[:, 0])
 
 
 def test_sample_without_objective_rejected():
     ws = sample_uniform(UNIT, substream(10, "none"), 5)
-    samples = records(UNIT, ws, ws[:, 0])
-    samples[2].j_true = None
-    with pytest.raises(FitError, match="no objective"):
-        fit(UNIT, samples)
+    y = ws[:, 0].copy()
+    y[2] = np.nan
+    with pytest.raises(FitError, match="row 2 has no finite objective"):
+        fit(UNIT, ws, y)
