@@ -276,7 +276,7 @@ def load_state(run_dir: Path) -> RunState:
     config = _read(lambda path: config_from_dict(persist.read_doc(path)), run_dir / "config.json")
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
-    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"])
+    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration)
     # Only the weights are read back (their pool is costly), from the last refit (not a
     # newer weights.tsv an uncommitted attempt left). The rest is recomputed.
     k = _last_refit(state)

@@ -10,7 +10,6 @@ points and, per product group, its number of dimensions + 1 draws.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from .allocation import MIN_POOL_HITS, PER_STRATUM_CAP
 from .conditional import N_CONFIDENT
 from .errors import ConfigError
 from .evaluators import DEFAULT_TIMEOUT, FAILURE_ABORT_FRACTION, ExternalEvaluator, SyntheticObjective
+from .persist import read_doc
 from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace, product_rows
 
 MODES = ("single", "multi")
@@ -181,15 +181,10 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        doc = read_doc(Path(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return config_from_dict(doc)
 
 

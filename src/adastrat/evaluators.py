@@ -178,11 +178,11 @@ def oracle_probability(
 class ExternalEvaluator:
     """Keep one running command per slot and exchange JSON lines with all of them from one thread.
 
-    ``parallelism`` slots, each with one child that gets ``run_dir`` (if any) in
-    its environment and at most one request in flight. A slot's child serves every
-    ``run_batch`` until ``close`` (or, for an evaluator dropped unclosed, a
-    finalizer); a request that kills or fails it replaces it. An exception that
-    escapes ``run_batch``, Ctrl-C included, kills every child at once.
+    ``parallelism`` slots, each with one child that gets ``run_dir`` (if any) in its
+    environment and, when it has none in flight, the batch's next waiting request. A
+    slot's child serves every ``run_batch`` until ``close`` (or, for an evaluator
+    dropped unclosed, a finalizer); a request that kills or fails it replaces it. An
+    exception that escapes ``run_batch``, Ctrl-C included, kills every child at once.
     """
 
     def __init__(
@@ -216,23 +216,22 @@ class ExternalEvaluator:
         return subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr, env=env)
 
     def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """Deal the requests round-robin onto the slots; a slot's child gets its next one once the last one ends."""
-        n = self.parallelism
-        queues = [list(requests[k::n]) for k in range(n)]
+        """One queue: on each pass, every slot with no request in flight takes the next waiting one."""
+        pending = list(requests)
         results, failures = [], []
         flight: dict = {}  # slot -> (request, its start time, reply bytes so far)
         try:
-            while True:
-                for slot in range(n):
-                    while queues[slot] and slot not in flight:
-                        req, started = queues[slot].pop(0), time.monotonic()
+            while pending or flight:
+                for slot in range(self.parallelism):
+                    if pending and slot not in flight:  # one per pass: a child that cannot start fails one
+                        req, started = pending.pop(0), time.monotonic()
                         try:
                             self._write(slot, req)
                             flight[slot] = (req, started, bytearray())
                         except _REQUEST_ERRORS as exc:
                             failures.append(self._fail(slot, req, exc))
                 if not flight:
-                    return results, failures
+                    continue
                 fds = {self._children[slot][0].stdout.fileno(): slot for slot in flight}
                 earliest = min(started for _, started, _ in flight.values())
                 wait = min(_MAX_WAIT, max(0.0, earliest + self.timeout - time.monotonic()))
@@ -254,6 +253,7 @@ class ExternalEvaluator:
                             flight[slot] = (req, started, buf)
                     except _REQUEST_ERRORS as exc:
                         failures.append(self._fail(slot, req, exc))
+            return results, failures
         except BaseException:  # children in an unknown state are not kept
             for proc, _ in self._children.values():
                 proc.kill()

@@ -24,7 +24,7 @@ import math
 import os
 import uuid
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,10 +68,20 @@ def write_table(path: Path, columns: dict[str, Sequence], head: str = "") -> Non
     atomic_write_text(path, head + "\t".join(columns) + "\n" + "".join(_line(row) for row in zip(*columns.values(), strict=True)))
 
 
-def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+def read_table(path: Path, columns: Sequence[str], head: int = 0, count: Optional[int] = None) -> tuple[list, list]:
+    """The ``head`` lines and the rows, as cells, of a table ``write_table`` wrote; a header other
+    than ``columns`` or a row of another number of cells is refused. With ``count``, only the
+    first ``count`` rows are read, and the table must hold them."""
     lines = path.read_text().splitlines()
-    header = lines[0].split("\t")
-    return header, [line.split("\t") for line in lines[1:]]
+    if lines[head : head + 1] != ["\t".join(columns)]:
+        raise ValueError(f"its header is not {list(columns)}")
+    rows = [line.split("\t") for line in lines[head + 1 :][:count]]
+    if count is not None and len(rows) < count:
+        raise ValueError(f"holds {len(rows)} rows, not the {count} committed")
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ValueError(f"row {i} has {len(row)} cells, not {len(columns)}")
+    return lines[:head], rows
 
 
 def write_doc(path: Path, doc: dict) -> None:
@@ -111,25 +121,29 @@ def append_samples(
         f.write(rows.encode())
 
 
-def read_samples(path: Path, space: ParameterSpace, count: int) -> list[SampleRecord]:
+def read_samples(path: Path, space: ParameterSpace, count: int, iterations: int) -> list[SampleRecord]:
     """The first ``count`` rows of the sample table; rows past them are not committed. A row
-    whose point is outside ``space`` or whose ``j_true`` is not finite is refused."""
-    header, rows = read_table(path)
-    columns = _sample_header(space.names)
-    if header != columns or len(rows) < count:
-        raise ValueError(f"does not hold {count} committed rows of {columns}")
-    rows, d = rows[:count], space.dim
+    whose point is outside ``space`` or whose ``j_true`` is not finite is refused, and so are
+    ``iteration`` cells that do not run from 0 up to at most ``iterations`` without going down."""
+    _, rows = read_table(path, _sample_header(space.names), count=count)
+    d = space.dim
     params = space.validate_many(np.array([[float(c) for c in r[2 : 2 + d]] for r in rows]))
     j_true = np.array([float(r[2 + d]) for r in rows])
     if not np.isfinite(j_true).all():
         raise ValueError(f"row {np.flatnonzero(~np.isfinite(j_true))[0]} has no finite j_true")
+    iteration = np.array([int(r[1]) for r in rows])
+    if iteration[:1].any() or (np.diff(iteration, append=iterations) < 0).any():
+        raise ValueError(f"its iteration column does not run from 0 up to at most {iterations} without going down")
     return [
-        SampleRecord(id=int(r[0]), iteration=int(r[1]), params=w, j_true=float(j))
-        for r, w, j in zip(rows, params, j_true, strict=True)
+        SampleRecord(id=int(r[0]), iteration=int(k), params=w, j_true=float(j))
+        for r, k, w, j in zip(rows, iteration, params, j_true, strict=True)
     ]
 
 
 # -- model / weights -------------------------------------------------------
+
+_WEIGHT_COLUMNS = ("stratum", "lower", "upper", "p1", "variance")
+
 
 def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weights: StratumWeights) -> None:
     """A refit's ``model.json``, for the reader, and its ``weights.tsv``, which a load reads back."""
@@ -144,25 +158,24 @@ def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weigh
         },
     )
     bounds = strata.bounds()
-    write_table(dir_path / "weights.tsv", {
-        "stratum": range(strata.n_strata), "lower": bounds[:-1], "upper": bounds[1:],
-        "p1": weights.p1, "variance": weights.variance,
-    }, head=f"# pool_size\t{weights.pool_size}\n")
+    cells = (range(strata.n_strata), bounds[:-1], bounds[1:], weights.p1, weights.variance)
+    write_table(dir_path / "weights.tsv", dict(zip(_WEIGHT_COLUMNS, cells, strict=True)),
+                head=f"# pool_size\t{weights.pool_size}\n")
 
 
 def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
     """The weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
     theirs, or whose ``p1`` is not the counts of its pool divided by ``pool_size``, is
     refused. The ``variance`` column is for the reader."""
-    lines = path.read_text().splitlines()
-    rows = np.array([[float(c) for c in line.split("\t")[1:4]] for line in lines[2:]]).reshape(-1, 3)
+    head, cells = read_table(path, _WEIGHT_COLUMNS, head=1)
+    rows = np.array([[float(c) for c in row[1:4]] for row in cells]).reshape(-1, 3)
     bounds = strata.bounds()
     if rows.shape[0] != strata.n_strata:
         raise ValueError(f"holds {rows.shape[0]} strata, not the {strata.n_strata} recomputed from the samples")
     if (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
         raise ValueError("its lower/upper edges differ from the strata recomputed from the samples")
     # a contiguous p1, as the campaign's was: numpy sums a strided one in another order
-    p1, pool_size = np.ascontiguousarray(rows[:, 2]), int(lines[0].split("\t")[1])
+    p1, pool_size = np.ascontiguousarray(rows[:, 2]), int(head[0].removeprefix("# pool_size\t"))
     hits = np.rint(p1 * pool_size)
     if pool_size < 1 or (hits < 0).any() or hits.sum() != pool_size or (hits / pool_size != p1).any():
         raise ValueError(f"its p1 column is not stratum counts divided by its pool_size {pool_size}")

@@ -115,8 +115,9 @@ def test_single_mode_freezes_model_and_strata(tmp_path):
     np.testing.assert_array_equal(state.strata.edges, edges_before)
     assert state.total_evaluations() == 85
     # every new sample re-bins into the stratum its candidate search claimed
-    header, rows = read_table(tmp_path / "r" / "iter_001" / "allocation.tsv")
-    additional = [int(row[header.index("additional")]) for row in rows]
+    _, rows = read_table(tmp_path / "r" / "iter_001" / "allocation.tsv",
+                         ("stratum", "weight", "target", "existing", "additional"))
+    additional = [int(row[4]) for row in rows]
     j_tilde, _ = state.observations()
     new = state.strata.bin_many(j_tilde)[[s.iteration == 1 for s in state.samples]]
     assert np.bincount(new, minlength=state.strata.n_strata).tolist() == additional

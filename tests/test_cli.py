@@ -128,8 +128,12 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
     bad.write_text(json.dumps({"mode": "sideways"}))
     assert main(["run", "--config", str(bad), "--run-dir", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
-    missing = tmp_path / "missing.json"
-    assert main(["run", "--config", str(missing), "--run-dir", str(tmp_path / "y")]) == 2
+    # a config file that is missing, not JSON or not a JSON object is refused by name
+    (tmp_path / "truncated.json").write_text('{"seed": ')
+    (tmp_path / "list.json").write_text("[]")
+    for name in ("missing.json", "truncated.json", "list.json"):
+        assert main(["run", "--config", str(tmp_path / name), "--run-dir", str(tmp_path / "y")]) == 2
+        assert f"cannot read config file {tmp_path / name}: " in capsys.readouterr().err
     # out-of-range numeric settings are refused before any evaluation is spent
     external = {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]}
     for k, change in enumerate([
@@ -210,6 +214,15 @@ def test_retired_keys_resume_at_their_fixed_values(tmp_path, config_path):
     assert {p.relative_to(stopped): b for p, b in _tree(stopped).items() if p.name not in skip} == full
 
 
+def _edit_cell(path, line, column, value):
+    """Set one cell of a tab-separated table; the column one past a row's last cell appends one."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line].rstrip("\n").split("\t")
+    cells[column : column + 1] = [value]
+    lines[line] = "\t".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
 def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     assert main(["init", "--config", str(config_path), "--run-dir", str(tmp_path / "init")]) == 0
     older = tmp_path / "older"
@@ -217,7 +230,8 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     # finished runs that lost a file load_state reads, or hold one it cannot parse
     for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
                  "no-weights", "other-weights", "short-weights", "bad-p1", "list-state", "list-config",
-                 "pairs-config", "text-seed", "nan-objective", "inf-param", "outside-param"):
+                 "pairs-config", "text-seed", "nan-objective", "inf-param", "outside-param", "extra-cell",
+                 "negative-iteration", "lower-iteration", "later-iteration", "renamed-p1", "extra-weights-cell"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
@@ -228,20 +242,17 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     shutil.copy(older / "iter_001" / "weights.tsv", tmp_path / "other-weights" / "iter_002" / "weights.tsv")
     short = tmp_path / "short-weights" / "iter_002" / "weights.tsv"
     short.write_text("".join(short.read_text().splitlines(keepends=True)[:5]))
-    # one p1 cell of the last refit's weights.tsv edited to 0.9
-    bad_p1 = tmp_path / "bad-p1" / "iter_002" / "weights.tsv"
-    lines = bad_p1.read_text().splitlines(keepends=True)
-    cells = lines[3].split("\t")
-    lines[3] = "\t".join([*cells[:3], "0.9", *cells[4:]])
-    bad_p1.write_text("".join(lines))
-    # one committed samples.tsv cell edited: j_true to nan, a parameter to inf or outside its box
-    for name, column, value in (("nan-objective", -1, "nan"), ("inf-param", 2, "inf"), ("outside-param", 3, "99.5")):
-        table = tmp_path / name / "samples.tsv"
-        lines = table.read_text().splitlines(keepends=True)
-        cells = lines[40].rstrip("\n").split("\t")
-        cells[column] = value
-        lines[40] = "\t".join(cells) + "\n"
-        table.write_text("".join(lines))
+    # the last refit's weights.tsv edited: one p1 cell to 0.9, the p1 header renamed, a cell past a row's last
+    for name, line, column, value in (("bad-p1", 3, 3, "0.9"), ("renamed-p1", 1, 3, "p_1"),
+                                      ("extra-weights-cell", 3, 5, "0.5")):
+        _edit_cell(tmp_path / name / "iter_002" / "weights.tsv", line, column, value)
+    # one committed samples.tsv cell edited: j_true to nan, a parameter to inf or outside its box, a cell
+    # past j_true, an iteration-1 cell to -3, the last row's iteration (2) down to 1 or past the commit to 3
+    for name, line, column, value in (("nan-objective", 40, 8, "nan"), ("inf-param", 40, 2, "inf"),
+                                      ("outside-param", 40, 3, "99.5"), ("extra-cell", 40, 9, "0.5"),
+                                      ("negative-iteration", 40, 1, "-3"), ("lower-iteration", 55, 1, "1"),
+                                      ("later-iteration", 55, 1, "3")):
+        _edit_cell(tmp_path / name / "samples.tsv", line, column, value)
     text_seed = tmp_path / "text-seed" / "config.json"
     text_seed.write_text(json.dumps({**json.loads(text_seed.read_text()), "seed": "x"}))
     (tmp_path / "no-counts" / "state.json").write_text('{"format": 2}')
@@ -269,7 +280,13 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("text-seed", "config.json: seed must be an integer, got 'x'"),
                       ("nan-objective", "samples.tsv: row 39 has no finite j_true"),
                       ("inf-param", "samples.tsv: parameter 'aspect_ratio': value inf outside"),
-                      ("outside-param", "samples.tsv: parameter 'sweep': value 99.5 outside")):
+                      ("outside-param", "samples.tsv: parameter 'sweep': value 99.5 outside"),
+                      ("extra-cell", "samples.tsv: row 39 has 10 cells, not 9"),
+                      ("negative-iteration", "samples.tsv: its iteration column does not run from 0 up to at most 2"),
+                      ("lower-iteration", "samples.tsv: its iteration column does not run from 0 up to at most 2"),
+                      ("later-iteration", "samples.tsv: its iteration column does not run from 0 up to at most 2"),
+                      ("renamed-p1", "iter_002/weights.tsv: its header is not ['stratum', 'lower', 'upper', 'p1',"),
+                      ("extra-weights-cell", "iter_002/weights.tsv: row 1 has 6 cells, not 5")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err

@@ -168,10 +168,14 @@ def test_external_timeout_reported_per_request():
     reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     for parallelism in (1, 2):
         with _external("hang", timeout=1.0, parallelism=parallelism) as evaluator:
+            started = time.monotonic()
             out = evaluate_batch(evaluator, reqs)
+            elapsed = time.monotonic() - started
         assert sorted(f.id for f in out.failures) == [0, 2]
         assert "Timeout" in out.failures[0].reason
         assert [r.id for r in out.results] == [1]
+        if parallelism == 2:  # the child that answered 1 takes 2: the two hangs time out together
+            assert elapsed < 1.5
 
 
 def test_external_timeout_past_the_longest_select_wait_serves_a_batch():

@@ -1,7 +1,10 @@
+import itertools
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,3 +292,54 @@ def test_pool_binning_error_reaches_caller_and_joins_helper():
         with pytest.raises(BoundsError):
             estimate_weights(build_strata(0.6, 0.01, 100), model, pool_size, substream(6, "pool", 0))
         assert threading.active_count() == before
+
+
+MIXED6 = replace(AFFINE6, intercept=0.35, coefficients=np.array([0.3, -0.2, 0.1, -0.15, 0.05, 0.12]))
+EXACT_LAYOUTS = [build_strata(0.5, 0.01, 100), build_strata(0.46, 0.046, 24)]  # a band; the whole range
+
+
+def _affine_occupancy(model, bounds):
+    """Exact occupancy of an affine surrogate on uniform coordinates: per bound, the side it is
+    taken on and its probability there, and the weight of each stratum between consecutive bounds.
+
+    A negative coefficient is reflected (a u = a + |a| (1 - u)) and a zero one dropped, so
+    J~ = base + S with S = sum of c_i v_i, every c_i > 0 and v_i uniform. The CDF of S is
+    inclusion-exclusion over the 2^m subset sums s_K (Sadooghi-Alvandi, Nematollahi & Habibi,
+    Statistical Papers 50, 2009): P(S < t) = sum_K (-1)^|K| (t - s_K)_+^m / (m! prod c). A bound
+    above the midpoint of the range is taken as the reflected P(S > t) = P(S < sum c - t), and
+    each weight is a difference on one side, so small weights keep their digits.
+    """
+    a = model.coefficients
+    c = np.abs(a[a != 0])
+    t = np.asarray(bounds, dtype=float) - (model.intercept + a[a < 0].sum())
+    upper = t > c.sum() / 2
+    subsets = np.array(list(itertools.product((0, 1), repeat=c.size)))
+    x = np.where(upper, c.sum() - t, t)[:, None] - subsets @ c  # -inf and +inf give 0
+    value = ((-1.0) ** subsets.sum(axis=1) * np.clip(x, 0, None) ** c.size).sum(axis=1)
+    value /= math.factorial(c.size) * np.prod(c)
+    lo, hi = value[:-1], value[1:]
+    p1 = np.where(~upper[1:], hi - lo, np.where(upper[:-1], lo - hi, 1.0 - lo - hi))
+    return upper, value, p1
+
+
+@pytest.mark.parametrize("strata", EXACT_LAYOUTS, ids=["band", "whole-range"])
+def test_affine_occupancy_matches_exact_rationals_at_each_edge(strata):
+    a = [Fraction(x) for x in MIXED6.coefficients.tolist()]
+    c = [abs(x) for x in a if x]
+    scale = math.factorial(len(c)) * math.prod(c)
+    upper, value, _ = _affine_occupancy(MIXED6, strata.edges)
+    for edge, up, v in zip(strata.edges.tolist(), upper, value.tolist()):
+        t = Fraction(edge) - Fraction(MIXED6.intercept) - sum(x for x in a if x < 0)
+        below = sum((-1) ** sum(k) * max(t - sum(ci for ci, ki in zip(c, k) if ki), 0) ** len(c)
+                    for k in itertools.product((0, 1), repeat=len(c))) / scale
+        assert abs(Fraction(v) - (1 - below if up else below)) <= Fraction(1, 10**15), edge
+
+
+@pytest.mark.parametrize("strata", EXACT_LAYOUTS, ids=["band", "whole-range"])
+def test_pool_lies_within_five_standard_errors_of_the_exact_occupancy(strata):
+    pool_size = 2_000_000
+    assert pool_size > CUTOFF  # the two-thread path
+    _, _, p1 = _affine_occupancy(MIXED6, strata.bounds())
+    assert (p1 >= 0).all() and abs(p1.sum() - 1.0) < 1e-12
+    w = estimate_weights(strata, MIXED6, pool_size, substream(11, "exact"))
+    assert (np.abs(w.p1 - p1) <= 5 * np.sqrt(p1 * (1 - p1) / pool_size)).all()
