@@ -29,7 +29,8 @@ CALIBRATION = json.loads(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pool-size", type=int, default=10_000_000)
+    parser.add_argument("--pool-size", type=int, default=None,
+                        help="estimate the stratum weights from a pool of this many draws (default: exact weights)")
     parser.add_argument("--run-dir", type=Path, default=None)
     args = parser.parse_args()
 

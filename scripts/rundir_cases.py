@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Write eight fixed run directories for comparing two checkouts byte for byte.
+"""Write nine fixed run directories for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
 writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate, DIR/external,
-DIR/product, DIR/stopped and DIR/gap:
+DIR/product, DIR/stopped, DIR/gap and DIR/exact:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -27,9 +27,12 @@ DIR/product, DIR/stopped and DIR/gap:
   seed 4 whose zero-budget iteration 2 commits without a refit, so
   ``iter_002`` holds no ``model.json`` or ``weights.tsv`` and iteration 3
   allocates under iteration 1's refit; like ``multi-iterate``, each
-  iteration is re-entered through ``load_state``.
+  iteration is re-entered through ``load_state``;
+- ``exact``: a multi campaign (20 + 20 + 20 + 20 evaluations, 20σ band) at
+  seed 6 with ``pool_size`` unset, so on exact stratum weights; each
+  iteration is re-entered through ``load_state``, which recomputes them.
 
-Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
+The other eight name a ``pool_size`` and run on the occupancy pool. Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
 """
 import argparse
@@ -84,6 +87,10 @@ CASES = {
         **REFERENCE, preliminary_count=20, iteration_budgets=(20, 0, 10), inner_strata=20,
         pool_size=100_000, mode="multi", seed=4,
     ),
+    "exact": RunConfig(
+        **REFERENCE, preliminary_count=20, iteration_budgets=(20, 20, 20), inner_strata=20,
+        band_halfwidth_sigmas=20.0, mode="multi", seed=6,
+    ),
 }
 
 
@@ -97,7 +104,7 @@ def main() -> int:
         run_dir = args.out / name
         if run_dir.exists():
             parser.error(f"{run_dir} already exists")
-        if name in ("multi-iterate", "gap"):  # every iteration starts from the persisted state
+        if name in ("multi-iterate", "gap", "exact"):  # every iteration starts from the persisted state
             run_preliminary(config, run_dir)
             for budget in config.iteration_budgets:
                 state = load_state(run_dir)

@@ -11,6 +11,7 @@ variance undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .surrogate import SurrogateModel
 # The per-stratum cap is checked once per batch, that is every 4,096 rows.
 _SEARCH_BATCH = 1 << 12
 
-#: Pool draws a stratum's occupancy estimate needs before the plan gives it samples.
+#: Hits a stratum needs before the plan gives it samples: in its pool, or for exact
+#: weights in expectation over a search of ``PER_STRATUM_CAP`` draws (p1 >= 10**-6).
 MIN_POOL_HITS = 10
 
 #: Search draws per requested sample after which an unfilled stratum is given up.
@@ -149,7 +151,7 @@ class AllocationPlan:
 
 def plan_allocation(
     p1: np.ndarray,
-    pool_hits: np.ndarray,
+    pool_hits: Optional[np.ndarray],
     p2: np.ndarray,
     existing: np.ndarray,
     budget: int,
@@ -165,14 +167,17 @@ def plan_allocation(
     earlier samples yields its share to under-sampled ones instead of the
     other way around.
 
-    Strata whose occupancy estimate rests on fewer than ``MIN_POOL_HITS``
-    pool draws are dropped from the plan (their weight is unreliable and a
-    candidate search there may never terminate), as are strata holding less
-    than ``prune_share`` of the total weight, except the largest one: a share
-    above 1/n of n near-equal strata would otherwise prune them all.
+    Strata with fewer than ``MIN_POOL_HITS`` hits are dropped from the plan
+    (their weight is unreliable and a candidate search there may never
+    terminate): ``pool_hits`` counts them in the pool, and for exact weights
+    (``pool_hits`` None) a stratum has p1 * ``PER_STRATUM_CAP`` of them, the
+    same cut a pool of that size makes in expectation. So are strata holding
+    less than ``prune_share`` of the total weight, except the largest one: a
+    share above 1/n of n near-equal strata would otherwise prune them all.
     """
     weights = optimal_weights(p1, p2)
-    weights[np.asarray(pool_hits) < MIN_POOL_HITS] = 0.0
+    hits = np.asarray(p1) * PER_STRATUM_CAP if pool_hits is None else np.asarray(pool_hits)
+    weights[hits < MIN_POOL_HITS] = 0.0
     if prune_share > 0.0 and weights.any():
         pruned = weights < prune_share * weights.sum()
         pruned[np.argmax(weights)] = False

@@ -8,8 +8,11 @@ Two explicit modes, never mixed silently:
   with hard 0/1 extrapolation for unsampled strata.
 * ``multi``: each iteration allocates from the hybrid
   observation/prediction mix, then refits the surrogate on every sample so
-  far, rebuilds the strata for the new residual scale, re-estimates the
-  occupancy weights, and re-bins everything.
+  far, rebuilds the strata for the new residual scale, re-weighs them, and
+  re-bins everything.
+
+Stratum weights are exact unless the config names a ``pool_size``; then each
+refit estimates them from its own pool, and a load reads them back.
 
 Randomness is drawn from substreams named (purpose, iteration), so resuming
 a persisted run between iterations reproduces the uninterrupted run exactly.
@@ -28,11 +31,11 @@ from .allocation import AllocationPlan, plan_allocation, select_candidates
 from .conditional import ConditionalTable, build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, config_from_dict
 from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
-from .estimator import RareEventEstimate, build_estimate
+from .estimator import RareEventEstimate, build_estimate, hard_tail_p2
 from .evaluators import FAILURE_ABORT_FRACTION, EvaluationRequest, evaluate_batch
 from .rng import substream
 from .space import SampleRecord, sample_product, sample_uniform
-from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights
+from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights, exact_weights
 from .surrogate import SurrogateModel, fit
 
 #: Version of the run-directory layout that ``state.json`` commits.
@@ -82,7 +85,8 @@ def _last_refit(state: RunState) -> int:
 
 
 def _fit_and_stratify(state: RunState, k: int) -> None:
-    """Fit the surrogate on the samples of iterations up to ``k`` and lay the strata out around the critical value."""
+    """Fit the surrogate on the samples of iterations up to ``k``, lay the strata out around the
+    critical value and, with no pool configured, weigh them exactly."""
     cfg = state.config
     state.model = fit(cfg.space, *_arrays([s for s in state.samples if s.iteration <= k]))
     try:
@@ -92,19 +96,24 @@ def _fit_and_stratify(state: RunState, k: int) -> None:
     except DegenerateModelError:
         # perfect fit: the band collapses, split once at the critical value
         state.strata = degenerate_split(cfg.critical_value)
+    if cfg.pool_size is None:
+        state.weights = exact_weights(state.strata, state.model)
 
 
 def _refit(state: RunState, k: int) -> None:
-    """The refit of iteration ``k``: model and strata, and the weights from its own pool."""
+    """The refit of iteration ``k``: model, strata and weights, from its own pool if one is configured."""
     cfg = state.config
     _fit_and_stratify(state, k)
-    state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, substream(cfg.seed, "pool", k))
+    if cfg.pool_size is not None:
+        state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, substream(cfg.seed, "pool", k))
 
 
-def _estimate(state: RunState) -> RareEventEstimate:
-    """The stratified estimate from every sample, binned under the current model."""
+def _estimate(state: RunState) -> tuple[RareEventEstimate, np.ndarray, np.ndarray]:
+    """The stratified estimate from every sample, binned under the current model, with the
+    hard-tail p2 and the counts per stratum it was built from."""
     counts, _, p2_obs = observe_p2(state.strata, *state.observations())
-    return build_estimate(state.weights, state.strata, counts, p2_obs)
+    p2 = hard_tail_p2(state.strata, counts, p2_obs)
+    return build_estimate(state.weights, p2, counts), p2, counts
 
 
 def _evaluate_new(state: RunState, params: np.ndarray, iteration: int) -> None:
@@ -126,7 +135,14 @@ def _evaluate_new(state: RunState, params: np.ndarray, iteration: int) -> None:
     )
 
 
-def _persist_iteration(state: RunState, table: Optional[ConditionalTable], plan: Optional[AllocationPlan]) -> None:
+def _persist_iteration(
+    state: RunState,
+    table: Optional[ConditionalTable] = None,
+    plan: Optional[AllocationPlan] = None,
+    observed: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> None:
+    """Write iteration ``state.iteration``'s files, then commit; ``observed`` is the hard-tail p2
+    and the counts behind the newest estimate, for an iteration that made one."""
     if state.run_dir is None:
         return
     run_dir, iteration = state.run_dir, state.iteration
@@ -141,8 +157,8 @@ def _persist_iteration(state: RunState, table: Optional[ConditionalTable], plan:
         persist.write_conditional(d / "conditional.tsv", table)
     if plan is not None:
         persist.write_allocation(d / "allocation.tsv", plan)
-    if iteration > 0:
-        persist.write_estimate(d, state.strata, state.estimates[-1])
+    if observed is not None:
+        persist.write_estimate(d, state.strata, state.estimates[-1], state.weights.p1, *observed)
     new = [s for s in state.samples if s.iteration == iteration]
     committed = len(state.samples) - len(new)
     persist.append_samples(run_dir / "samples.tsv", state.config.space.names, new, committed)
@@ -183,7 +199,7 @@ def _preliminary(state: RunState) -> RunState:
         params = sample_uniform(config.space, rng, config.preliminary_count)
     _evaluate_new(state, params, iteration=0)
     _refit(state, 0)
-    _persist_iteration(state, None, None)
+    _persist_iteration(state)
     return state
 
 
@@ -209,8 +225,9 @@ def run_iteration(state: RunState, budget: int) -> RunState:
         if _last_refit(state) == k:
             _refit(state, k)
     state.iteration = k
-    state.estimates.append(_estimate(state))
-    _persist_iteration(state, table, plan)
+    est, p2, counts = _estimate(state)
+    state.estimates.append(est)
+    _persist_iteration(state, table, plan, (p2, counts))
     return state
 
 
@@ -277,13 +294,14 @@ def load_state(run_dir: Path) -> RunState:
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
     state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration)
-    # Only the weights are read back (their pool is costly), from the last refit (not a
-    # newer weights.tsv an uncommitted attempt left). The rest is recomputed.
+    # Everything is recomputed but pool weights: their pool is costly, so they are read back,
+    # from the last refit (not a newer weights.tsv an uncommitted attempt left).
     k = _last_refit(state)
     _fit_and_stratify(state, k)
-    state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", state.strata)
+    if config.pool_size is not None:
+        state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", state.strata)
     if state.iteration > 0:
-        state.estimates.append(_estimate(state))
+        state.estimates.append(_estimate(state)[0])
     return state
 
 
@@ -298,13 +316,14 @@ def final_report(state: RunState) -> dict:
 
 
 def render_report(report: dict) -> str:
+    se = report["p1_standard_error"]
     lines = [
         "rare-event estimate",
         f"  probability          {report['probability']:.6g}",
         f"  95% interval         ({report['ci95'][0]:.6g}, {report['ci95'][1]:.6g})",
         f"  biased variance      {report['biased_variance']:.6e}",
         f"  unbiased variance    {report['unbiased_variance']:.6e}",
-        f"  p1 standard error    {report['p1_standard_error']:.3e}",
+        f"  p1 standard error    {'0 (exact weights)' if se is None else f'{se:.3e}'}",
         f"  evaluations          {report['total_evaluations']}"
         f" over {report['iterations']} adaptive iteration(s)",
     ]

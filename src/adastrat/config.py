@@ -2,7 +2,9 @@
 
 A config is a plain JSON document; numeric defaults follow the reference
 campaign (100 preliminary cases, one 99-case adaptive iteration, a 100-bin
-band of halfwidth 10 sigma, a ten-million-draw occupancy pool). Settings no
+band of halfwidth 10 sigma). ``pool_size`` defaults to None, exact stratum
+weights, for spaces of up to ``EXACT_MAX_DIM`` dimensions; a number asks for
+weights estimated from a pool of that many draws instead. Settings no
 campaign varies are plain constants of the module that uses them; ``_RETIRED``
 maps each retired key to that value, the only one it still loads at. A
 preliminary design must leave the fit a residual: ``validate`` wants d + 2
@@ -21,9 +23,10 @@ from .errors import ConfigError
 from .evaluators import DEFAULT_TIMEOUT, FAILURE_ABORT_FRACTION, ExternalEvaluator, SyntheticObjective
 from .persist import read_doc
 from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace, product_rows
+from .strata import EXACT_MAX_DIM
 
 MODES = ("single", "multi")
-_INT_FIELDS = ("preliminary_count", "inner_strata", "pool_size", "seed", "parallelism")
+_INT_FIELDS = ("preliminary_count", "inner_strata", "seed", "parallelism")
 _FLOAT_FIELDS = ("critical_value", "band_halfwidth_sigmas", "allocation_prune_share")
 
 
@@ -59,7 +62,7 @@ class RunConfig:
     iteration_budgets: tuple[int, ...] = (99,)
     inner_strata: int = 100
     band_halfwidth_sigmas: float = 10.0
-    pool_size: int = 10_000_000
+    pool_size: Optional[int] = None
     mode: str = "single"
     seed: int = 0
     parallelism: int = 1
@@ -89,7 +92,11 @@ class RunConfig:
             raise ConfigError("iteration_budgets must be non-empty")
         if any(b < 0 for b in self.iteration_budgets):
             raise ConfigError(f"iteration budgets must be >= 0, got {self.iteration_budgets}")
-        if self.pool_size < 1_000:
+        if self.pool_size is None:
+            if self.space.dim > EXACT_MAX_DIM:
+                raise ConfigError(f"exact stratum weights take 2**d subset sums per edge and stop at d = "
+                                  f"{EXACT_MAX_DIM}; set pool_size for this {self.space.dim}-dimensional space")
+        elif _int("pool_size", self.pool_size) < 1_000:
             raise ConfigError(f"pool_size must be >= 1000, got {self.pool_size}")
         if self.inner_strata < 1:
             raise ConfigError(f"inner_strata must be >= 1, got {self.inner_strata}")

@@ -1,10 +1,11 @@
 """Rare-event probability, variances, confidence interval, and cost parity.
 
-The stratum weights are treated as known constants (the pool behind them is
-huge); all reported variance comes from the per-stratum conditional
-probabilities, through ``stratified_variance``, the one variance path. Their
-separate Monte Carlo error is surfaced as ``p1_standard_error`` so the
-assumption stays inspectable.
+The stratum weights are treated as known constants: they are exact by
+default, and a configured pool behind them is large. All reported variance
+comes from the per-stratum conditional probabilities, through
+``stratified_variance``, the one variance path. A pool's separate Monte
+Carlo error is surfaced as ``p1_standard_error`` so the assumption stays
+inspectable; exact weights have none, and report it as None.
 """
 from __future__ import annotations
 
@@ -90,18 +91,16 @@ def hard_tail_p2(strata: StratumSet, counts: np.ndarray, p2_obs: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class RareEventEstimate:
-    """Estimate with its uncertainty and the cost of matching it naively."""
+    """Estimate with its uncertainty and the cost of matching it naively: the scalars of
+    ``estimate.json``. The per-stratum columns of ``estimate.tsv`` are not kept."""
 
     probability: float
     biased_variance: float
     unbiased_variance: float
     ci95: tuple[float, float]
     mc_equivalent: Optional[int]
-    p1_standard_error: float
-    p1: np.ndarray
-    p2: np.ndarray
-    counts: np.ndarray
-    contribution: np.ndarray
+    p1_standard_error: Optional[float]
+    """Standard error that pool weights add to the probability; None for exact weights."""
 
     def summary(self) -> dict:
         """The scalar fields, as ``estimate.json`` holds them."""
@@ -115,21 +114,15 @@ class RareEventEstimate:
         }
 
 
-def build_estimate(
-    weights: StratumWeights,
-    strata: StratumSet,
-    counts: np.ndarray,
-    p2_obs: np.ndarray,
-) -> RareEventEstimate:
-    """Assemble the full estimate from stratum weights and ``observe_p2``'s counts and rates."""
-    p2 = hard_tail_p2(strata, counts, p2_obs)
+def build_estimate(weights: StratumWeights, p2: np.ndarray, counts: np.ndarray) -> RareEventEstimate:
+    """The estimate from stratum weights and each stratum's ``hard_tail_p2`` rate and sample count."""
     p1 = weights.p1
     prob = estimate(p1, p2)
     bvar = stratified_variance(p1, p2, counts)
     uvar = stratified_variance(p1, p2, counts, ddof=1)
     ci = confidence_interval(prob, uvar)
     mc = naive_mc_equivalent(prob, bvar) if 0.0 < prob < 1.0 and bvar > 0.0 else None
-    p1_se = float(np.sqrt(np.sum(p2**2 * weights.variance)))
+    p1_se = None if weights.pool_size is None else float(np.sqrt(np.sum(p2**2 * weights.variance)))
     return RareEventEstimate(
         probability=prob,
         biased_variance=bvar,
@@ -137,8 +130,4 @@ def build_estimate(
         ci95=ci,
         mc_equivalent=mc,
         p1_standard_error=p1_se,
-        p1=p1.copy(),
-        p2=p2,
-        counts=np.asarray(counts, dtype=np.int64).copy(),
-        contribution=p1 * p2,
     )

@@ -2,15 +2,16 @@
 
 ``state.json`` is the commit record, written last at each iteration
 boundary; it counts the committed rows of ``samples.tsv``, the append-only
-table of measured samples. A load reads only ``config.json``, ``state.json``,
-the committed rows and the last refit's ``weights.tsv`` (a large pool to
-redo), and recomputes the model, strata and estimate from the samples;
-the weights are taken only if their ``lower``/``upper`` edges are exactly
-those of the recomputed strata and their ``p1`` is whole counts over the
-pool size. ``model.json``, ``estimate.*``, ``conditional.tsv`` and
-``allocation.tsv`` are outputs only. Loading writes nothing; the next append
-cuts off any rows past the commit. Every other file is replaced atomically
-(a uniquely named temp file, then a rename).
+table of measured samples. A load reads only ``config.json``, ``state.json``
+and the committed rows, and recomputes the model, strata, exact weights and
+estimate from the samples. Where the config names a ``pool_size``, it also
+reads the last refit's ``weights.tsv`` (a large pool to redo), taken only if
+its ``lower``/``upper`` edges are exactly those of the recomputed strata and
+its ``p1`` is whole counts over the pool size. ``model.json``, ``estimate.*``,
+``conditional.tsv``, ``allocation.tsv`` and an exact ``weights.tsv`` (no
+``# pool_size`` line, variance 0) are outputs only. Loading writes nothing;
+the next append cuts off any rows past the commit. Every other file is
+replaced atomically (a uniquely named temp file, then a rename).
 Tables are tab-separated text, the derived ones written column by column;
 documents are JSON. Floats are serialized with shortest round-trip
 precision, so a reloaded run is bit-identical to the run that wrote it
@@ -146,7 +147,8 @@ _WEIGHT_COLUMNS = ("stratum", "lower", "upper", "p1", "variance")
 
 
 def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weights: StratumWeights) -> None:
-    """A refit's ``model.json``, for the reader, and its ``weights.tsv``, which a load reads back."""
+    """A refit's ``model.json``, for the reader, and its ``weights.tsv``, which a load reads back
+    if it holds pool weights; exact weights have no ``# pool_size`` line."""
     write_doc(
         dir_path / "model.json",
         {
@@ -159,12 +161,12 @@ def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weigh
     )
     bounds = strata.bounds()
     cells = (range(strata.n_strata), bounds[:-1], bounds[1:], weights.p1, weights.variance)
-    write_table(dir_path / "weights.tsv", dict(zip(_WEIGHT_COLUMNS, cells, strict=True)),
-                head=f"# pool_size\t{weights.pool_size}\n")
+    head = "" if weights.pool_size is None else f"# pool_size\t{weights.pool_size}\n"
+    write_table(dir_path / "weights.tsv", dict(zip(_WEIGHT_COLUMNS, cells, strict=True)), head=head)
 
 
 def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
-    """The weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
+    """The pool weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
     theirs, or whose ``p1`` is not the counts of its pool divided by ``pool_size``, is
     refused. The ``variance`` column is for the reader."""
     head, cells = read_table(path, _WEIGHT_COLUMNS, head=1)
@@ -198,12 +200,16 @@ def write_allocation(path: Path, plan: AllocationPlan) -> None:
     })
 
 
-def write_estimate(dir_path: Path, strata: StratumSet, est: RareEventEstimate) -> None:
+def write_estimate(
+    dir_path: Path, strata: StratumSet, est: RareEventEstimate, p1: np.ndarray, p2: np.ndarray, counts: np.ndarray
+) -> None:
+    """``estimate.json``, the scalars of ``est``, and ``estimate.tsv``, the weights, hard-tail
+    rates and sample counts it was built from, per stratum."""
     write_doc(dir_path / "estimate.json", est.summary())
     bounds = strata.bounds()
     write_table(dir_path / "estimate.tsv", {
         "stratum": range(strata.n_strata), "lower": bounds[:-1], "upper": bounds[1:],
-        "p1": est.p1, "p2": est.p2, "count": est.counts, "contribution": est.contribution,
+        "p1": p1, "p2": p2, "count": counts, "contribution": p1 * p2,
     })
 
 

@@ -189,6 +189,15 @@ def test_plan_allocation_prunes_thin_pool_strata():
     assert plan.additional.sum() == 10
 
 
+def test_plan_allocation_floor_for_exact_weights():
+    # no pool counts: a stratum is planned when a search of PER_STRATUM_CAP draws expects
+    # MIN_POOL_HITS hits in it, p1 >= 10^-6
+    p1 = np.array([0.6, 0.4 - 2e-6, 0.99e-6, 1.01e-6])
+    plan = plan_allocation(p1, None, np.full(4, 0.5), np.zeros(4, dtype=int), 10)
+    np.testing.assert_array_equal(plan.weights > 0, [True, True, False, True])
+    assert plan.additional.sum() == 10
+
+
 def test_select_candidates_empty_and_single_stratum():
     strata = build_strata(0.5, 100.0, 1)  # the middle stratum swallows everything
     rng = substream(5, "sel")

@@ -101,7 +101,9 @@ def test_iteration_accounting_and_monotone_information():
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
     # the estimate bins every sample under the current model
     rebinned = state.strata.bin_many(state.model.predict_many(np.vstack([s.params for s in state.samples])))
-    assert state.estimates[-1].counts.tolist() == np.bincount(rebinned, minlength=state.strata.n_strata).tolist()
+    est, _, counts = campaign._estimate(state)
+    assert est == state.estimates[-1]
+    assert counts.tolist() == np.bincount(rebinned, minlength=state.strata.n_strata).tolist()
     assert len(state.estimates) == 2
 
 
@@ -204,6 +206,48 @@ def test_samples_and_weights_alone_resume_exactly(tmp_path, mode):
         assert path.read_bytes() == (tmp_path / "intact" / path.relative_to(tmp_path / "bare")).read_bytes(), path
 
 
+def test_exact_weights_are_recomputed_not_read(tmp_path):
+    # a multi campaign on exact weights, interrupted after iteration 1; a copy of its run dir
+    # without any weights.tsv resumes to the same files
+    cfg = small_config(pool_size=None, iteration_budgets=(20, 10, 10))
+    state = run_preliminary(cfg, tmp_path / "intact")
+    run_iteration(state, 20)
+    shutil.copytree(tmp_path / "intact", tmp_path / "bare")
+    removed = list((tmp_path / "bare").glob("iter_*/weights.tsv"))
+    assert len(removed) == 2
+    for path in removed:
+        path.unlink()
+    for name in ("intact", "bare"):
+        run_campaign(cfg, tmp_path / name)
+    for path in (tmp_path / "bare").rglob("*"):
+        if path.is_file() and path.name != "run.log":
+            assert path.read_bytes() == (tmp_path / "intact" / path.relative_to(tmp_path / "bare")).read_bytes(), path
+    # an exact weights.tsv keeps the pool's columns, with variance 0 and no # pool_size line
+    _, rows = read_table(tmp_path / "intact" / "iter_003" / "weights.tsv", ("stratum", "lower", "upper", "p1", "variance"))
+    assert {row[4] for row in rows} == {"0.0"}
+    assert json.loads((tmp_path / "intact" / "config.json").read_text())["pool_size"] is None
+    assert "p1 standard error    0 (exact weights)\n" in (tmp_path / "intact" / "report.txt").read_text()
+    assert json.loads((tmp_path / "intact" / "report.json").read_text())["p1_standard_error"] is None
+
+
+def test_pool_run_dir_still_reads_its_weights_tsv(tmp_path):
+    # a run dir whose config.json names pool_size resumes on the weights its pool wrote
+    cfg = small_config(pool_size=100_000)
+    state = run_preliminary(cfg, tmp_path / "r")
+    run_iteration(state, 20)
+    weights = tmp_path / "r" / "iter_001" / "weights.tsv"
+    assert weights.read_text().startswith("# pool_size\t100000\n")
+    loaded = load_state(tmp_path / "r")
+    assert loaded.weights.pool_size == 100_000 and _bits(loaded.weights.p1) == _bits(state.weights.p1)
+    weights.rename(weights.with_suffix(".moved"))
+    with pytest.raises(ConfigError, match="weights.tsv"):
+        load_state(tmp_path / "r")
+    weights.with_suffix(".moved").rename(weights)
+    run_campaign(cfg, tmp_path / "r")
+    run_campaign(cfg, tmp_path / "whole")
+    assert not _tree_differs(filecmp.dircmp(tmp_path / "r", tmp_path / "whole", ignore=["run.log"]))
+
+
 class _Crash(Exception):
     """The kill injected at one write point of a campaign."""
 
@@ -233,9 +277,10 @@ def _crashing_writers(monkeypatch, writers, crash_at=None):
     return written
 
 
-@pytest.mark.parametrize("mode", ["single", "multi"])
-def test_crash_at_any_write_resumes_exactly(tmp_path, monkeypatch, mode):
-    cfg = small_config(mode=mode, preliminary_count=30, iteration_budgets=(15, 10))
+@pytest.mark.parametrize("mode, pool_size", [("single", 100_000), ("multi", 100_000), ("multi", None)],
+                         ids=["single", "multi", "multi-exact"])
+def test_crash_at_any_write_resumes_exactly(tmp_path, monkeypatch, mode, pool_size):
+    cfg = small_config(mode=mode, preliminary_count=30, iteration_budgets=(15, 10), pool_size=pool_size)
     writers = {name: getattr(persist, name) for name in ("atomic_write_text", "append_samples")}
     with monkeypatch.context() as m:
         written = _crashing_writers(m, writers)

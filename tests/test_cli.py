@@ -200,6 +200,22 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         assert not (run_dir / "config.json").exists()
 
 
+def test_exact_weights_stop_at_twelve_dimensions(tmp_path, config_path, capsys):
+    # pool_size unset means exact weights, which take 2**d subset sums per edge
+    external = {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]}
+    doc = {**json.loads(config_path.read_text()), "preliminary_count": 40, "evaluator": external}
+    doc.pop("pool_size")
+    for d, code in ((12, 0), (13, 2)):
+        path = tmp_path / f"d{d}.json"
+        path.write_text(json.dumps({**doc, "space": [{"name": f"x{i}", "min": 0.0, "max": 1.0} for i in range(d)]}))
+        assert main(["init", "--config", str(path), "--run-dir", str(tmp_path / f"d{d}")]) == code
+        if code:
+            assert "set pool_size for this 13-dimensional space" in capsys.readouterr().err
+    # with a pool, more dimensions are fine
+    path.write_text(json.dumps({**json.loads(path.read_text()), "pool_size": 10_000}))
+    assert main(["init", "--config", str(path), "--run-dir", str(tmp_path / "pool13")]) == 0
+
+
 def test_retired_keys_resume_at_their_fixed_values(tmp_path, config_path):
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps({**json.loads(config_path.read_text()), **RETIRED}))

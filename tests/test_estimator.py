@@ -117,15 +117,21 @@ def test_build_estimate_fields_consistent():
     strata = degenerate_split(0.9)
     weights = StratumWeights(p1=np.array([0.998, 0.002]), pool_size=1_000_000)
     counts = np.array([50, 20])
-    p2_obs = np.array([0.0, 9 / 20])
-    est = build_estimate(weights, strata, counts, p2_obs)
+    p2 = hard_tail_p2(strata, counts, np.array([0.0, 9 / 20]))
+    est = build_estimate(weights, p2, counts)
     assert est.probability == pytest.approx(0.002 * 0.45)
-    assert est.probability == pytest.approx(float(est.contribution.sum()), abs=1e-12)
+    assert est.probability == pytest.approx(float(weights.p1 @ p2), abs=1e-12)
     assert est.ci95[0] == pytest.approx(est.probability - 2 * np.sqrt(est.unbiased_variance))
     assert est.mc_equivalent == int(np.ceil(est.probability * (1 - est.probability) / est.biased_variance))
     # weight noise is reported separately, never folded into the variance
     assert est.p1_standard_error > 0
     assert est.biased_variance == pytest.approx(0.002**2 * 0.45 * 0.55 / 20)
+    # exact weights carry no weight noise, and the same variance
+    exact = build_estimate(StratumWeights(p1=weights.p1), p2, counts)
+    assert exact.p1_standard_error is None
+    assert exact.biased_variance == est.biased_variance
+    assert list(est.summary()) == ["probability", "biased_variance", "unbiased_variance", "ci95", "mc_equivalent",
+                                   "p1_standard_error"]
 
 
 def test_single_stratum_campaign_matches_naive_mc_cost():
@@ -133,7 +139,8 @@ def test_single_stratum_campaign_matches_naive_mc_cost():
     # naive Monte Carlo: the matching-cost sample count is the sample count
     strata = degenerate_split(0.9)
     weights = StratumWeights(p1=np.array([0.0, 1.0]), pool_size=10_000)
-    est = build_estimate(weights, strata, np.array([0, 50]), np.array([np.nan, 0.5]))
+    counts = np.array([0, 50])
+    est = build_estimate(weights, hard_tail_p2(strata, counts, np.array([np.nan, 0.5])), counts)
     assert est.probability == 0.5
     assert est.biased_variance == pytest.approx(0.5 * 0.5 / 50)
     assert est.mc_equivalent == 50

@@ -8,13 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adastrat import strata as strata_module
+from adastrat.campaign import run_preliminary
+from adastrat.config import RunConfig
 from adastrat.errors import BoundsError, DegenerateModelError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
-from adastrat.strata import StratumSet, build_strata, degenerate_split, estimate_weights
+from adastrat.strata import StratumSet, build_strata, degenerate_split, estimate_weights, exact_weights
 from adastrat.surrogate import SurrogateModel
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
@@ -296,50 +298,110 @@ def test_pool_binning_error_reaches_caller_and_joins_helper():
 
 MIXED6 = replace(AFFINE6, intercept=0.35, coefficients=np.array([0.3, -0.2, 0.1, -0.15, 0.05, 0.12]))
 EXACT_LAYOUTS = [build_strata(0.5, 0.01, 100), build_strata(0.46, 0.046, 24)]  # a band; the whole range
+# the linear part of the calibration objective, whose float inclusion-exclusion cancels near the midpoint
+CALIBRATION6 = replace(AFFINE6, intercept=0.3, coefficients=np.array([0.55, 0.15, -0.06, 0.03, 0.04, -0.02]))
+# one coefficient of 10^-5 beside five of order 0.1: 4.4e-10 off in floats at a mid-range band
+TINY6 = replace(AFFINE6, coefficients=np.array([0.3, 0.2, 0.1, 0.15, 1e-5, 0.12]))
+REFERENCE_OBJECTIVE = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
+TOLERANCE = 2.0**-41  # the bound exact_weights promises on every p1
 
 
-def _affine_occupancy(model, bounds):
-    """Exact occupancy of an affine surrogate on uniform coordinates: per bound, the side it is
-    taken on and its probability there, and the weight of each stratum between consecutive bounds.
+def _rational_p1(model, strata):
+    """The exact occupancy of each stratum, P(lower <= J~ < upper), in ``Fraction``s: the CDF is
+    inclusion-exclusion over the subset sums of the reflected coefficients."""
+    a = [Fraction(x) for x in model.coefficients.tolist()]
+    c = [abs(x) for x in a if x]
+    scale = math.factorial(len(c)) * math.prod(c)
 
-    A negative coefficient is reflected (a u = a + |a| (1 - u)) and a zero one dropped, so
-    J~ = base + S with S = sum of c_i v_i, every c_i > 0 and v_i uniform. The CDF of S is
-    inclusion-exclusion over the 2^m subset sums s_K (Sadooghi-Alvandi, Nematollahi & Habibi,
-    Statistical Papers 50, 2009): P(S < t) = sum_K (-1)^|K| (t - s_K)_+^m / (m! prod c). A bound
-    above the midpoint of the range is taken as the reflected P(S > t) = P(S < sum c - t), and
-    each weight is a difference on one side, so small weights keep their digits.
-    """
-    a = model.coefficients
-    c = np.abs(a[a != 0])
-    t = np.asarray(bounds, dtype=float) - (model.intercept + a[a < 0].sum())
-    upper = t > c.sum() / 2
-    subsets = np.array(list(itertools.product((0, 1), repeat=c.size)))
-    x = np.where(upper, c.sum() - t, t)[:, None] - subsets @ c  # -inf and +inf give 0
-    value = ((-1.0) ** subsets.sum(axis=1) * np.clip(x, 0, None) ** c.size).sum(axis=1)
-    value /= math.factorial(c.size) * np.prod(c)
-    lo, hi = value[:-1], value[1:]
-    p1 = np.where(~upper[1:], hi - lo, np.where(upper[:-1], lo - hi, 1.0 - lo - hi))
-    return upper, value, p1
+    def below(bound):
+        if math.isinf(bound):
+            return Fraction(int(bound > 0))
+        t = Fraction(bound) - Fraction(model.intercept) - sum(x for x in a if x < 0)
+        if not c:  # a constant surrogate
+            return Fraction(int(t > 0))
+        return sum((-1) ** sum(k) * max(t - sum(ci for ci, ki in zip(c, k) if ki), 0) ** len(c)
+                   for k in itertools.product((0, 1), repeat=len(c))) / scale
+
+    cdf = [below(b) for b in strata.bounds().tolist()]
+    return [hi - lo for lo, hi in zip(cdf[:-1], cdf[1:])]
+
+
+def _assert_exact(model, strata, tolerance=TOLERANCE):
+    p1 = exact_weights(strata, model).p1
+    error = max(abs(Fraction(x) - r) for x, r in zip(p1.tolist(), _rational_p1(model, strata)))
+    assert error <= tolerance, float(error)
+    assert (p1 >= 0).all() and abs(p1.sum() - 1.0) <= 1e-12
+    return p1
 
 
 @pytest.mark.parametrize("strata", EXACT_LAYOUTS, ids=["band", "whole-range"])
 def test_affine_occupancy_matches_exact_rationals_at_each_edge(strata):
-    a = [Fraction(x) for x in MIXED6.coefficients.tolist()]
-    c = [abs(x) for x in a if x]
-    scale = math.factorial(len(c)) * math.prod(c)
-    upper, value, _ = _affine_occupancy(MIXED6, strata.edges)
-    for edge, up, v in zip(strata.edges.tolist(), upper, value.tolist()):
-        t = Fraction(edge) - Fraction(MIXED6.intercept) - sum(x for x in a if x < 0)
-        below = sum((-1) ** sum(k) * max(t - sum(ci for ci, ki in zip(c, k) if ki), 0) ** len(c)
-                    for k in itertools.product((0, 1), repeat=len(c))) / scale
-        assert abs(Fraction(v) - (1 - below if up else below)) <= Fraction(1, 10**15), edge
+    # balanced coefficients: the float path alone is good to a few ulps
+    _assert_exact(MIXED6, strata, tolerance=Fraction(1, 10**15))
 
 
 @pytest.mark.parametrize("strata", EXACT_LAYOUTS, ids=["band", "whole-range"])
 def test_pool_lies_within_five_standard_errors_of_the_exact_occupancy(strata):
     pool_size = 2_000_000
     assert pool_size > CUTOFF  # the two-thread path
-    _, _, p1 = _affine_occupancy(MIXED6, strata.bounds())
-    assert (p1 >= 0).all() and abs(p1.sum() - 1.0) < 1e-12
+    p1 = exact_weights(strata, MIXED6).p1
     w = estimate_weights(strata, MIXED6, pool_size, substream(11, "exact"))
     assert (np.abs(w.p1 - p1) <= 5 * np.sqrt(p1 * (1 - p1) / pool_size)).all()
+
+
+@pytest.mark.parametrize("model, strata, float_alone_fails", [
+    (CALIBRATION6, build_strata(0.645, 0.425 / 13, 24, halfwidth_sigmas=13.0), False),  # 26 strata over the range
+    (TINY6, build_strata(0.4, 0.01, 20), True),  # a band at the middle of the range
+    (TINY6, build_strata(0.1, 0.01, 20), False),  # and near its lower end
+], ids=["calibration", "tiny-middle", "tiny-low"])
+def test_unbalanced_coefficients_stay_exact(monkeypatch, model, strata, float_alone_fails):
+    _assert_exact(model, strata)
+    monkeypatch.setattr(strata_module, "_EDGE_TOLERANCE", np.inf)  # no edge redone in rationals
+    if float_alone_fails:  # where the terms cancel, the rationals are what keeps the promise
+        with pytest.raises(AssertionError):
+            _assert_exact(model, strata)
+    else:
+        _assert_exact(model, strata)
+
+
+def test_reference_models_take_the_float_path(monkeypatch):
+    # the preliminary fits of the benchmark's reference campaign, seeds 0-4: no edge needs rationals
+    monkeypatch.setattr(strata_module, "_rational_value", None)
+    for seed in range(5):
+        state = run_preliminary(RunConfig(critical_value=0.95, evaluator=REFERENCE_OBJECTIVE, seed=seed))
+        assert state.strata.n_strata == 102 and state.weights.pool_size is None
+
+
+@pytest.mark.parametrize("strata", [build_strata(0.2, 0.01, 20), degenerate_split(0.3)], ids=["band", "split"])
+@pytest.mark.parametrize("coefficients", [
+    [0.3, 0.0, -0.1, 0.0, 0.2, 0.0],  # zero coefficients drop out
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # a constant surrogate: all weight where it sits
+    [0.0, 0.0, -0.4, 0.0, 0.0, 0.0],  # one uniform: equal weight per unit of range
+], ids=["zeros", "constant", "one"])
+def test_exact_weights_of_degenerate_models(strata, coefficients):
+    model = replace(AFFINE6, intercept=0.3, coefficients=np.array(coefficients))
+    p1 = _assert_exact(model, strata)
+    if not any(coefficients):
+        assert p1.tolist().count(1.0) == 1 and p1.sum() == 1.0
+        assert p1[strata.bin_many([0.3])[0]] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.floats(-9, 0)), min_size=1, max_size=6),
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(-6, 0), st.integers(1, 30),
+)
+def test_exact_weights_match_rationals_for_any_model(signs_and_scales, intercept, critical, log_sigma, inner):
+    coefficients = np.array([sign * 10.0**scale for sign, scale in signs_and_scales])
+    model = SurrogateModel(space=ParameterSpace(tuple(ParameterDef(f"x{i}", 0.0, 1.0) for i in range(coefficients.size))),
+                           intercept=intercept, coefficients=coefficients, sigma=1.0, training_count=10)
+    _assert_exact(model, build_strata(critical, 10.0**log_sigma, inner))
+
+
+def test_exact_weights_refuse_what_they_cannot_weigh():
+    with pytest.raises(BoundsError):
+        exact_weights(BAND, replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12])))
+    big = SurrogateModel(space=ParameterSpace(tuple(ParameterDef(f"x{i}", 0.0, 1.0) for i in range(13))),
+                         intercept=0.0, coefficients=np.full(13, 0.1), sigma=1.0, training_count=20)
+    with pytest.raises(ValueError, match="2\\*\\*13 subset sums"):
+        exact_weights(BAND, big)
