@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Write nine fixed run directories for comparing two checkouts byte for byte.
+"""Write ten fixed run directories for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
 writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate, DIR/external,
-DIR/product, DIR/stopped, DIR/gap and DIR/exact:
+DIR/product, DIR/stopped, DIR/gap, DIR/exact and DIR/default:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -30,7 +30,10 @@ DIR/product, DIR/stopped, DIR/gap and DIR/exact:
   iteration is re-entered through ``load_state``;
 - ``exact``: a multi campaign (20 + 20 + 20 + 20 evaluations, 20σ band) at
   seed 6 with ``pool_size`` unset, so on exact stratum weights; each
-  iteration is re-entered through ``load_state``, which recomputes them.
+  iteration is re-entered through ``load_state``, which recomputes them;
+- ``default``: the default config on the calibration objective (single,
+  100 + 99 evaluations, 102 strata, exact weights, prune share 0) at seed 7,
+  whose candidate search draws the longest streams of all the cases.
 
 The other eight name a ``pool_size`` and run on the occupancy pool. Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
@@ -91,6 +94,7 @@ CASES = {
         **REFERENCE, preliminary_count=20, iteration_budgets=(20, 20, 20), inner_strata=20,
         band_halfwidth_sigmas=20.0, mode="multi", seed=6,
     ),
+    "default": RunConfig(**REFERENCE, seed=7),
 }
 
 

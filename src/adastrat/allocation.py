@@ -19,11 +19,13 @@ from .errors import AllocationError, UnfillableStratumError
 from .strata import StratumSet
 from .surrogate import SurrogateModel
 
-# Rows per candidate-search draw. At d = 6 a batch and each temporary made
-# from it take 192 KiB, which stays in a 2 MiB L2. The search stops after the
-# first batch that fills every quota, and the last kept row usually sits a few
-# thousand rows into the stream, so a small batch also draws little past it.
-# The per-stratum cap is checked once per batch, that is every 4,096 rows.
+# Rows per candidate-search draw. Per row, a batch costs the draw, one
+# normalized-coordinate product and a band test; the natural-unit path of the
+# few rows near an open quota and the bookkeeping cost about the same per
+# batch whatever its size. The search stops after the first batch
+# that fills every quota, and the last kept row usually sits a few thousand
+# rows into the stream, so a small batch also draws little past it. The
+# per-stratum cap is checked once per batch.
 _SEARCH_BATCH = 1 << 12
 
 #: Hits a stratum needs before the plan gives it samples: in its pool, or for exact
@@ -217,32 +219,83 @@ def select_candidates(
     the picks do not depend on the batch size; only how many rows are drawn
     past the last kept one (fewer than one batch) does.
 
-    Candidates are binned from their natural-unit representation through
+    A hit is binned from its natural-unit representation through
     ``model.predict_many``, the path that re-bins every campaign sample, so
     re-binning a persisted candidate always reproduces its claimed stratum.
+    That path costs several draws per row, so the search squeezes it: each
+    batch is first binned from its normalized coordinates by
+    ``model.predict_normalized``, and only the rows within ``_search_reach``
+    strata of an open quota take the natural-unit path. A row's two bins are
+    never further apart than that, so the picks are those of binning every
+    row in natural units. The error's estimated weight counts the
+    normalized-coordinate bins.
     """
     additional = np.asarray(additional, dtype=np.int64)
     need = additional.copy()
-    space = model.space
-    kept: list[list[np.ndarray]] = [[] for _ in range(strata.n_strata)]  # per stratum, its rows per batch
-    hits = np.zeros(strata.n_strata, dtype=np.int64)
+    space, n = model.space, strata.n_strata
+    reach = _search_reach(strata, model)
+    lower, upper = np.clip(np.arange(n) - reach, 0, n), np.clip(np.arange(n) + reach + 1, 0, n)
+    bounds = np.concatenate(([-np.inf], strata.edges, [np.nan]))  # x >= NaN is never true
+    hits = np.zeros(n, dtype=np.int64)
+    picks, picked = [np.empty((0, space.dim))], [np.empty(0, dtype=np.intp)]
     drawn = 0
+    near = None  # the strata within reach of an open quota, recomputed when a quota fills
     while need.any():
         us = rng.random((_SEARCH_BATCH, space.dim))
-        ws = space.denormalize_many(us)
-        idx = strata.bin_many(model.predict_many(ws))
         drawn += _SEARCH_BATCH
-        hits += np.bincount(idx, minlength=strata.n_strata)
-        for i in np.flatnonzero(need > 0):
-            rows = np.flatnonzero(idx == i)[: need[i]]
-            kept[i].append(ws[rows])
-            need[i] -= rows.size
-        for i in np.flatnonzero(need > 0):
-            if drawn >= PER_STRATUM_CAP * additional[i]:
-                raise UnfillableStratumError(
-                    stratum=int(i),
-                    requested=int(additional[i]),
-                    found=int(additional[i] - need[i]),
-                    estimated_weight=float(hits[i] / drawn),
-                )
-    return np.concatenate([np.empty((0, space.dim))] + [rows for chunks in kept for rows in chunks])
+        if near is None:
+            open_below = np.concatenate(([0], np.cumsum(need > 0)))
+            near = open_below[upper] > open_below[lower]
+            first, last = np.flatnonzero(near)[[0, -1]]
+        x = model.predict_normalized(us)
+        # the rows that bin into strata first..last; a NaN row stays, and bin_many raises on it
+        rows = np.flatnonzero(~(x < bounds[first]) & ~(x >= bounds[last + 1]))
+        rough = strata.bin_many(x[rows])
+        hits += np.bincount(rough, minlength=n)
+        ws = space.denormalize_many(us[rows[near[rough]]])
+        idx = strata.bin_many(model.predict_many(ws))
+        # keep the first need[i] rows of each stratum i: rank the rows within their stratum in draw order
+        order = np.argsort(idx, kind="stable")
+        counts = np.bincount(idx, minlength=n)
+        rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[idx[order]]
+        keep = order[rank < need[idx[order]]]
+        picks.append(ws[keep])
+        picked.append(idx[keep])
+        need -= np.bincount(idx[keep], minlength=n)
+        if not need[idx[keep]].all():
+            near = None
+        short = np.flatnonzero((need > 0) & (drawn >= PER_STRATUM_CAP * additional))
+        if short.size:
+            i = short[0]
+            raise UnfillableStratumError(
+                stratum=int(i),
+                requested=int(additional[i]),
+                found=int(additional[i] - need[i]),
+                estimated_weight=float(hits[i] / drawn),
+            )
+    return np.concatenate(picks)[np.argsort(np.concatenate(picked), kind="stable")]
+
+
+def _search_reach(strata: StratumSet, model: SurrogateModel) -> int:
+    """How many strata apart a row's two bins in ``select_candidates`` can be: that of
+    ``model.predict_many(space.denormalize_many(u))`` and that of ``model.predict_normalized(u)``,
+    for any u in [0, 1)^d.
+
+    Per coordinate with low l and span s (the floats ``ParameterSpace`` stores), the
+    natural-unit path rounds four times: w = fl(l + fl(u s)), then u' = fl(fl(w - l) / s).
+    With each rounding a factor (1 + δ), |δ| <= ε = 2**-53,
+    u' = (u (1 + δ1) + (l + fl(u s)) δ2 / s)(1 + δ3)(1 + δ4), and as |l + fl(u s)| <= |l| + s (1 + ε),
+    |u' - u| <= ε (5 + |l| / s) up to terms in ε². Both paths then form b + sum c_j v_j in
+    floats, for v = u and v = u', which errs by at most (d + 1) ε (|b| + sum |c_j v_j|)(1 + dε)
+    in any order of summation (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    §3.1). The three errors add up to less than half of
+    slack = 4 (d + 4) ε (|b| + sum |c_j| (1 + |l_j| / s_j)); the other half covers the terms in
+    ε². ``bin_many`` counts the edges <= x, and an interval of length ``slack`` holds at most
+    floor(slack / g) + 1 edges when g is the smallest gap between two: that is the reach. A
+    slack that is not finite reaches every stratum.
+    """
+    space = model.space
+    terms = 1.0 + np.abs(space.lows()) / space.spans()
+    slack = 4 * (space.dim + 4) * 2.0**-53 * (abs(model.intercept) + np.abs(model.coefficients) @ terms)
+    gap = np.diff(strata.edges).min() if strata.edges.size > 1 else np.inf
+    return int(slack // gap) + 1 if slack < gap * strata.n_strata else strata.n_strata

@@ -35,8 +35,9 @@ class UnfillableStratumError(AllocationError):
         self.estimated_weight = estimated_weight
         super().__init__(
             f"stratum {stratum}: found only {found} of {requested} candidates within the "
-            f"draw cap (estimated stratum weight {estimated_weight:.3e}); widen the strata "
-            f"or raise the per-stratum draw cap"
+            f"draw cap (estimated stratum weight {estimated_weight:.3e}); raise "
+            f"allocation_prune_share to leave thin strata out of the plan, or widen the band "
+            f"(band_halfwidth_sigmas) or use fewer strata (inner_strata)"
         )
 
 

@@ -15,7 +15,7 @@ from adastrat.allocation import (
 from adastrat.errors import AllocationError, UnfillableStratumError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
-from adastrat.strata import build_strata
+from adastrat.strata import build_strata, degenerate_split
 from adastrat.surrogate import SurrogateModel
 
 UNIT = ParameterSpace((ParameterDef("u", 0.0, 1.0),))
@@ -241,14 +241,15 @@ def test_select_candidates_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def first_hits(seed, additional):
-    """Reference search: one draw of 2^16 rows, then the first hits per stratum.
+def first_hits(seed, additional, strata=BAND, model=TILTED):
+    """Reference search: one draw of 2^16 rows, binned in natural units, then the
+    first hits per stratum.
 
     Returns the picks in (stratum, draw order) and the stream index of the
     last kept row.
     """
-    ws = PLANE.denormalize_many(substream(seed, "batch").random((1 << 16, PLANE.dim)))
-    idx = BAND.bin_many(TILTED.predict_many(ws))
+    ws = model.space.denormalize_many(substream(seed, "batch").random((1 << 16, model.space.dim)))
+    idx = strata.bin_many(model.predict_many(ws))
     picks, last = [], -1
     for i in np.flatnonzero(additional > 0):
         at = np.flatnonzero(idx == i)[: additional[i]]
@@ -283,3 +284,60 @@ def test_select_candidates_stops_within_one_batch_of_last_kept_row():
     rng = CountingGenerator(substream(10, "batch"))
     select_candidates(BAND, TILTED, QUOTAS, rng)
     assert last + 1 <= rng.rows < last + 1 + allocation._SEARCH_BATCH
+
+
+def far_box(low, span):
+    """TILTED's coefficients on a box far from the origin with spans ``span`` and 2 ``span``,
+    where rounding in ``denormalize_many`` and ``normalize_many`` moves j~ by up to about
+    2**-53 * low / span, so the natural-unit bin of a row can differ from its normalized one."""
+    space = ParameterSpace((ParameterDef("a", low, low + span), ParameterDef("b", -low / 3 - 2 * span, -low / 3)))
+    return SurrogateModel(space=space, intercept=0.0, coefficients=TILTED.coefficients, sigma=0.01, training_count=10)
+
+
+def quotas(strata, at):
+    """Zero quotas over ``strata`` but for ``at``, a {stratum: quota} dict."""
+    out = np.zeros(strata.n_strata, dtype=np.int64)
+    out[list(at)] = list(at.values())
+    return out
+
+
+WIDE = build_strata(0.5, 0.02, 40)
+SEARCH_CASES = {
+    # bins differ between the two paths on about 4% of the rows
+    "far-box-tiny-spans": (BAND, far_box(1e8, 1e-6), QUOTAS),
+    # the slack bound spans several of the 0.01-wide bins, so the prefilter reaches r >= 2 strata out
+    "reach-beyond-one-stratum": (WIDE, far_box(3e9, 1e-4), quotas(WIDE, {3: 20, 20: 30, 21: 5, 33: 10})),
+    "both-tails-only": (BAND, TILTED, quotas(BAND, {0: 40, BAND.n_strata - 1: 40})),
+    "single-inner-stratum": (build_strata(0.5, 100.0, 1), IDENTITY, np.array([0, 25, 0])),
+    "single-edge": (degenerate_split(0.3), IDENTITY, np.array([7, 9])),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_select_candidates_matches_first_hits(case):
+    strata, model, additional = SEARCH_CASES[case]
+    expected, _ = first_hits(11, additional, strata, model)
+    picks = select_candidates(strata, model, additional, substream(11, "batch"))
+    assert picks.shape == (additional.sum(), model.space.dim)
+    assert picks.tobytes() == np.array([w for _, w in expected]).tobytes()
+    if case == "reach-beyond-one-stratum":
+        assert allocation._search_reach(strata, model) >= 2
+
+
+def test_select_candidates_bins_in_natural_units_only_near_open_quotas(monkeypatch):
+    """Only the rows whose normalized-coordinate stratum lies within one stratum of a quota
+    still open at the start of their batch reach ``model.predict_many``."""
+    predict_many = SurrogateModel.predict_many
+    natural = []
+    monkeypatch.setattr(SurrogateModel, "predict_many", lambda self, ws: natural.append(len(ws)) or predict_many(self, ws))
+    rng = CountingGenerator(substream(10, "batch"))
+    select_candidates(BAND, TILTED, QUOTAS, rng)
+    us = substream(10, "batch").random((rng.rows, PLANE.dim))
+    exact = BAND.bin_many(predict_many(TILTED, PLANE.denormalize_many(us)))
+    rough = BAND.bin_many(TILTED.predict_normalized(us))
+    expected = 0
+    for start in range(0, rng.rows, allocation._SEARCH_BATCH):
+        open_quotas = np.flatnonzero(QUOTAS > np.bincount(exact[:start], minlength=BAND.n_strata))
+        near = np.abs(rough[start : start + allocation._SEARCH_BATCH, None] - open_quotas).min(axis=1) <= 1
+        expected += int(near.sum())
+    assert sum(natural) == expected < rng.rows

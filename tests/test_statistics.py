@@ -8,8 +8,12 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from adastrat.config import RunConfig
-from replicates import replicate_statistics
+from adastrat.estimator import build_estimate
+from adastrat.strata import StratumWeights
+from replicates import replicate_statistics, summarise
 
 CALIBRATION = json.loads((Path(__file__).resolve().parent / "fixtures" / "calibration.json").read_text())
 TRUTH = CALIBRATION["oracle_truth"]
@@ -65,3 +69,31 @@ def test_default_config_completes_without_pruning():
     stats = replicate_statistics(_default(), TRUTH, range(7_300_000, 7_300_100))
     print(f"\ndefault config at prune share 0: {stats} in {time.perf_counter() - start:.1f} s")
     assert stats.exits == {0: 100}, stats.errors[:3]
+
+
+def test_summary_of_campaigns_without_spread():
+    """100 equal-weight strata at a budget of 99: every sampled stratum holds one sample, so the
+    unbiased variance, which skips strata of fewer than two, is 0 in every campaign, and on a
+    deterministic objective each campaign reads the same estimate. The undefined statistics are
+    None, and stay None for the sd of z when one campaign, with two samples in a mixed stratum,
+    gives the only z value."""
+    weights = StratumWeights(p1=np.full(100, 0.01))
+    one_each = np.r_[np.ones(99, dtype=int), 0]
+    p2 = (np.arange(100) >= 97).astype(float)  # the empty stratum 99 is extrapolated to 1
+
+    def report(p2, counts):
+        return {**build_estimate(weights, p2, counts).summary(), "total_evaluations": 199, "iterations": 1,
+                "efficiency_ratio": None}
+
+    rows = [(0, report(p2, one_each), None)] * 5 + [(4, None, "UnfillableStratumError: ...")]
+    stats = summarise(rows, list(range(6)), 0.025)
+    assert (stats.z_count, stats.z_sd, stats.bias_t, stats.variance_ratio) == (0, None, None, None)
+    assert stats.exits == {0: 5, 4: 1} and stats.errors == [(5, "UnfillableStratumError: ...")]
+    assert abs(stats.bias - 0.2) < 1e-12 and stats.coverage == 0.0
+
+    mixed = one_each.copy()
+    mixed[[95, 96]] = [0, 2]
+    rows[1] = (0, report(np.where(np.arange(100) == 96, 0.5, p2), mixed), None)
+    stats = summarise(rows, list(range(6)), 0.025)
+    assert stats.z_count == 1 and stats.z_sd is None
+    assert stats.bias_t is not None and stats.variance_ratio is not None
