@@ -9,7 +9,8 @@ DIR/product, DIR/stopped, DIR/gap, DIR/exact and DIR/default:
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
 - ``reference``: the reference single campaign (100 + 99 evaluations,
-  102 strata) at seed 0 with a 2*10^6 pool;
+  102 strata) at seed 0 with a 2*10^6 pool, the only case whose pool exceeds
+  2^20 rows and so the one that ran the two-thread pool of earlier versions;
 - ``ensemble``: the small multi ensemble (10 + 30 + 21 evaluations) at seed 0;
 - ``multi-iterate``: ten 20-evaluation iterations at seed 5, each re-entered
   through ``load_state``, as ``adastrat iterate`` does;

@@ -293,7 +293,8 @@ def load_state(run_dir: Path) -> RunState:
     config = _read(lambda path: config_from_dict(persist.read_doc(path)), run_dir / "config.json")
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
-    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration)
+    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration,
+                          state.next_id)
     # Everything is recomputed but pool weights: their pool is costly, so they are read back,
     # from the last refit (not a newer weights.tsv an uncommitted attempt left).
     k = _last_refit(state)

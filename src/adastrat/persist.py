@@ -122,11 +122,15 @@ def append_samples(
         f.write(rows.encode())
 
 
-def read_samples(path: Path, space: ParameterSpace, count: int, iterations: int) -> list[SampleRecord]:
+def read_samples(path: Path, space: ParameterSpace, count: int, iterations: int, next_id: int) -> list[SampleRecord]:
     """The first ``count`` rows of the sample table; rows past them are not committed. A row
     whose point is outside ``space`` or whose ``j_true`` is not finite is refused, and so are
-    ``iteration`` cells that do not run from 0 up to at most ``iterations`` without going down."""
+    ``iteration`` cells that do not run from 0 up to at most ``iterations`` without going down,
+    and ids that repeat or lie outside [0, ``next_id``), which would hand one id to two points."""
     _, rows = read_table(path, _sample_header(space.names), count=count)
+    ids = [int(r[0]) for r in rows]
+    if len(set(ids)) < len(ids) or not all(0 <= i < next_id for i in ids):
+        raise ValueError(f"its id column repeats an id or holds one outside [0, {next_id}), the next_id of state.json")
     d = space.dim
     params = space.validate_many(np.array([[float(c) for c in r[2 : 2 + d]] for r in rows]))
     j_true = np.array([float(r[2 + d]) for r in rows])
@@ -136,8 +140,8 @@ def read_samples(path: Path, space: ParameterSpace, count: int, iterations: int)
     if iteration[:1].any() or (np.diff(iteration, append=iterations) < 0).any():
         raise ValueError(f"its iteration column does not run from 0 up to at most {iterations} without going down")
     return [
-        SampleRecord(id=int(r[0]), iteration=int(k), params=w, j_true=float(j))
-        for r, k, w, j in zip(rows, iteration, params, j_true, strict=True)
+        SampleRecord(id=i, iteration=int(k), params=w, j_true=float(j))
+        for i, k, w, j in zip(ids, iteration, params, j_true, strict=True)
     ]
 
 

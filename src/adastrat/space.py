@@ -28,6 +28,8 @@ class ParameterDef:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("parameter name must be non-empty")
+        if self.name.splitlines() != [self.name]:  # it heads a column of samples.tsv, read by lines
+            raise ConfigError(f"parameter {self.name!r}: a name must not hold a line break")
         if not (self.min < self.max):
             raise ConfigError(f"parameter {self.name!r}: min must be strictly below max")
 

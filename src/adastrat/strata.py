@@ -2,8 +2,8 @@
 
 Weights are exact by default (``exact_weights``): the surrogate is affine in
 independent uniforms, so each occupancy has a closed form. A configured
-``pool_size`` estimates them instead from a Monte Carlo pool
-(``estimate_weights``), which run directories that name one still resume on.
+``pool_size`` estimates them instead from a Monte Carlo pool binned on the
+caller's thread (``estimate_weights``), which run dirs that name one resume on.
 
 The working layout is a band of equal-width bins centered on the critical
 value (halfwidth a fixed multiple of the surrogate residual scale), plus two
@@ -15,7 +15,6 @@ equal-width to within a small fraction of a bin, the invariant
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,16 +25,12 @@ from .errors import BoundsError, DegenerateModelError
 from .surrogate import SurrogateModel
 
 # Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
-# keeps the batch matmul under OpenBLAS's threading threshold (between 420 000
-# and 480 000 elements with OpenBLAS 0.3.31), above which a BLAS worker spins
-# on the other core for about 0.1 s after each call. On a 10**7 pool over 102
+# keeps the batch matmul under the size at which OpenBLAS 0.3.31 goes parallel
+# (between 420 000 and 480 000 elements), above which a BLAS worker spins on
+# the other core for about 0.1 s after each call. On a 10**7 pool over 102
 # strata (2 cores, three alternating rounds of 9), 2**16 ran within 3% of
 # 2**15 but raised peak RSS by about 5 MB, and 2**14 ran about 10% slower.
 _POOL_BATCH = 1 << 15
-# Pools of at most this many batches (2**20 rows) are drawn and binned on the
-# caller's thread through ``rng`` itself: below that, a helper thread costs
-# more than it overlaps.
-_SERIAL_BATCHES = 32
 
 #: Most nonzero coefficients ``exact_weights`` is asked to handle: 2**12 subset sums per edge.
 EXACT_MAX_DIM = 12
@@ -255,16 +250,9 @@ def estimate_weights(
 ) -> StratumWeights:
     """Estimate stratum weights from a streamed pool of cheap surrogate draws.
 
-    The pool is the rows of ``rng.random((pool_size, d))``, drawn and binned
-    in ``_POOL_BATCH``-row batches into one reused buffer per thread. A pool
-    of more than ``_SERIAL_BATCHES`` batches is cut into two runs of whole
-    batches, so both the draw and the binning run on two cores: the caller
-    draws the first run through ``rng``, and one helper thread draws the
-    second from a PCG64 copy advanced past the first. Each double takes
-    exactly one PCG64 output and integer counts add in any order, so the
-    counts equal a serial loop's; where ``rng`` ends is left unspecified.
-    Smaller pools and other bit generators (the split needs PCG64's
-    ``advance``) are drawn through ``rng`` on the caller's thread.
+    The pool is the rows of ``rng.random((pool_size, d))``, drawn through
+    ``rng`` and binned in ``_POOL_BATCH``-row batches into one reused buffer
+    on the caller's thread; where ``rng`` ends is left unspecified.
 
     Most rows fall below the band, so each batch counts its rows with
     ``x < edges[0]`` into stratum 0 and bins only the others. That is exact:
@@ -274,28 +262,11 @@ def estimate_weights(
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    n_batches = -(-pool_size // _POOL_BATCH)
-    dim = model.space.dim
-
-    def count(generator: np.random.Generator, rows: int) -> np.ndarray:
-        counts = np.zeros(strata.n_strata, dtype=np.int64)
-        buffer = np.empty((min(_POOL_BATCH, rows), dim))
-        for start in range(0, rows, _POOL_BATCH):
-            x = model.predict_normalized(generator.random(out=buffer[: rows - start]))
-            rest = np.compress(~(x < strata.edges[0]), x)
-            counts[0] += x.size - rest.size
-            counts += np.bincount(strata.bin_many(rest), minlength=strata.n_strata)
-        return counts
-
-    bits = rng.bit_generator
-    if n_batches <= _SERIAL_BATCHES or type(bits) is not np.random.PCG64:
-        counts = count(rng, pool_size)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        first = n_batches // 2 * _POOL_BATCH
-        second = np.random.Generator(copy.deepcopy(bits).advance(first * dim))
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(count, second, pool_size - first)
-            counts = count(rng, first) + pending.result()
+    counts = np.zeros(strata.n_strata, dtype=np.int64)
+    buffer = np.empty((min(_POOL_BATCH, pool_size), model.space.dim))
+    for start in range(0, pool_size, _POOL_BATCH):
+        x = model.predict_normalized(rng.random(out=buffer[: pool_size - start]))
+        rest = np.compress(~(x < strata.edges[0]), x)
+        counts[0] += x.size - rest.size
+        counts += np.bincount(strata.bin_many(rest), minlength=strata.n_strata)
     return StratumWeights(p1=counts / pool_size, pool_size=pool_size)

@@ -311,6 +311,41 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
             assert why in capsys.readouterr().err
 
 
+
+def test_line_break_in_a_parameter_name_is_exit_code_2(tmp_path, config_path, capsys):
+    space = DEFAULT_SPACE.to_list()
+    for k, name in enumerate(("alpha\nx", "alpha\rx", "alpha\u2028x")):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(json.dumps({**json.loads(config_path.read_text()), "space": [{**space[0], "name": name}, *space[1:]]}))
+        run_dir = tmp_path / f"r{k}"
+        for command in ("init", "run"):
+            assert main([command, "--config", str(bad), "--run-dir", str(run_dir)]) == 2, (name, command)
+            assert repr(name) in capsys.readouterr().err
+        assert not run_dir.exists()
+
+
+def test_sample_ids_that_repeat_or_reach_next_id_are_refused(tmp_path, config_path, capsys):
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(full)]) == 0
+    run_preliminary(load_config(config_path), stopped)  # 30 rows, next_id 30
+    # one committed id edited: to the id of the row before it, to next_id, past it, below 0
+    edits = {"repeat": (2, "0"), "next-id": (30, "30"), "past-next-id": (30, "35"), "negative": (1, "-1")}
+    for name, (line, value) in edits.items():
+        shutil.copytree(stopped, tmp_path / name)
+        _edit_cell(tmp_path / name / "samples.tsv", line, 0, value)
+        before = _tree(tmp_path / name)
+        capsys.readouterr()
+        for argv in (["iterate", "--run-dir", str(tmp_path / name)], ["report", "--run-dir", str(tmp_path / name)],
+                     ["run", "--config", str(config_path), "--run-dir", str(tmp_path / name)]):
+            assert main(argv) == 2, (name, argv[0])
+            assert "samples.tsv: its id column repeats an id or holds one outside [0, 30)" in capsys.readouterr().err
+        assert _tree(tmp_path / name) == before
+    # the untouched copy resumes to what the uninterrupted campaign wrote
+    assert main(["run", "--config", str(config_path), "--run-dir", str(stopped)]) == 0
+    skip = {"run.log"}
+    assert ({p.relative_to(stopped): b for p, b in _tree(stopped).items() if p.name not in skip}
+            == {p.relative_to(full): b for p, b in _tree(full).items() if p.name not in skip})
+
 def test_resume_with_another_config_is_exit_code_2(tmp_path, config_path, capsys):
     run_dir = tmp_path / "r"
     run_preliminary(load_config(config_path), run_dir)  # a campaign stopped after its first commit

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,19 @@ def test_parameter_def_rejects_empty_or_inverted():
     with pytest.raises(ConfigError):
         ParameterSpace(())
 
+
+
+# every boundary str.splitlines splits on, which would break the samples.tsv header
+LINE_BREAKS = {"lf": "\n", "cr": "\r", "crlf": "\r\n", "vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d",
+               "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS.values(), ids=LINE_BREAKS.keys())
+def test_parameter_def_refuses_a_line_break_in_its_name(line_break):
+    for name in (f"alpha{line_break}x", f"alpha{line_break}"):
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            ParameterDef(name, 0.0, 1.0)
+    assert ParameterDef("alpha\tx", 0.0, 1.0).name == "alpha\tx"  # a tab round-trips through the table
 
 def test_sample_uniform_deterministic_given_seed():
     a = sample_uniform(UNIT, substream(7, "draws"), 3)

@@ -193,22 +193,19 @@ def _serial_pool_counts(strata, model, pool_size, rng, batch=1 << 20):
 
 
 BATCH = strata_module._POOL_BATCH
-CUTOFF = strata_module._SERIAL_BATCHES * BATCH
+CUTOFF = 1 << 20  # the size above which pools once took a second thread
 
 
-@pytest.mark.parametrize("serial_batches", [None, 0], ids=["cutoff", "helper-always"])
 @pytest.mark.parametrize(
     "pool_size",
     [
         1, 1000, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 100_000, 3 * (1 << 16) + 17, 2_000_000,
-        2 * BATCH + 17,  # three batches: one for the caller, two for the helper
-        3 * BATCH + 17,  # four batches: two each, the helper's last one partial
-        CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the serial cutoff
+        2 * BATCH + 17,  # three batches
+        3 * BATCH + 17,  # four batches, the last one partial
+        CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the old two-thread cutoff
     ],
 )
-def test_pool_matches_serial_loop(monkeypatch, pool_size, serial_batches):
-    if serial_batches is not None:
-        monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", serial_batches)
+def test_pool_matches_serial_loop(pool_size):
     s = build_strata(0.6, 0.01, 100)
     rng = substream(5, "pool", 0)
     reference_rng = substream(5, "pool", 0)
@@ -221,7 +218,6 @@ BAND = build_strata(0.6, 0.01, 100)
 FLAT6 = replace(AFFINE6, coefficients=np.zeros(6))
 
 
-@pytest.mark.parametrize("serial_batches", [None, 0], ids=["cutoff", "helper-always"])
 @pytest.mark.parametrize(
     "strata, model, only",
     [
@@ -232,9 +228,7 @@ FLAT6 = replace(AFFINE6, coefficients=np.zeros(6))
     ],
     ids=["on-first-edge", "below-first-edge", "above-band", "degenerate-split"],
 )
-def test_below_band_count_matches_serial_loop(monkeypatch, strata, model, only, serial_batches):
-    if serial_batches is not None:
-        monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", serial_batches)
+def test_below_band_count_matches_serial_loop(strata, model, only):
     pool_size = 3 * BATCH + 17
     w = estimate_weights(strata, model, pool_size, substream(8, "pool", 0))
     expected = _serial_pool_counts(strata, model, pool_size, substream(8, "pool", 0))
@@ -245,10 +239,9 @@ def test_below_band_count_matches_serial_loop(monkeypatch, strata, model, only, 
         assert expected[only] == pool_size
 
 
-def test_pool_keeps_a_buffered_half_output(monkeypatch):
-    # a 32-bit draw leaves half a PCG64 output buffered; doubles never use it, so the split
-    # pool still counts what the serial loop does
-    monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
+def test_pool_keeps_a_buffered_half_output():
+    # a 32-bit draw leaves half a PCG64 output buffered; doubles never use it, so the pool
+    # still counts what the reference loop does
     rng, reference_rng = substream(7, "pool", 0), substream(7, "pool", 0)
     for g in (rng, reference_rng):
         g.integers(0, 10, dtype=np.int32)
@@ -258,8 +251,7 @@ def test_pool_keeps_a_buffered_half_output(monkeypatch):
     np.testing.assert_array_equal(w.hits(), _serial_pool_counts(s, AFFINE6, 3 * BATCH + 5, reference_rng))
 
 
-def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
-    monkeypatch.setattr(strata_module, "_SERIAL_BATCHES", 0)
+def test_pool_under_fast_thread_switching_and_concurrent_callers():
     s = build_strata(0.6, 0.01, 100)
     pool_size = 5 * BATCH + 3
     expected = [_serial_pool_counts(s, AFFINE6, pool_size, substream(k, "pool", 0)) for k in range(3)]
@@ -275,25 +267,13 @@ def test_pool_under_fast_thread_switching_and_concurrent_callers(monkeypatch):
         np.testing.assert_array_equal(w.p1, counts / pool_size)
 
 
-class _NanOffTheMainThread:
-    """AFFINE6 whose predictions are NaN on every thread but the main one."""
-
-    space = AFFINE6.space
-
-    def predict_normalized(self, us):
-        out = AFFINE6.predict_normalized(us)
-        return out if threading.current_thread() is threading.main_thread() else out * np.nan
-
-
 def test_pool_binning_error_reaches_caller_and_joins_helper():
+    # NaN in every batch raises on the caller's thread and leaves no thread behind
     nan_model = replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12]))
-    pool_size = CUTOFF + 3 * BATCH
-    # NaN in every batch, then NaN in only the helper's batches
-    for model in (nan_model, _NanOffTheMainThread()):
-        before = threading.active_count()
-        with pytest.raises(BoundsError):
-            estimate_weights(build_strata(0.6, 0.01, 100), model, pool_size, substream(6, "pool", 0))
-        assert threading.active_count() == before
+    before = threading.active_count()
+    with pytest.raises(BoundsError):
+        estimate_weights(build_strata(0.6, 0.01, 100), nan_model, CUTOFF + 3 * BATCH, substream(6, "pool", 0))
+    assert threading.active_count() == before
 
 
 MIXED6 = replace(AFFINE6, intercept=0.35, coefficients=np.array([0.3, -0.2, 0.1, -0.15, 0.05, 0.12]))
@@ -343,7 +323,6 @@ def test_affine_occupancy_matches_exact_rationals_at_each_edge(strata):
 @pytest.mark.parametrize("strata", EXACT_LAYOUTS, ids=["band", "whole-range"])
 def test_pool_lies_within_five_standard_errors_of_the_exact_occupancy(strata):
     pool_size = 2_000_000
-    assert pool_size > CUTOFF  # the two-thread path
     p1 = exact_weights(strata, MIXED6).p1
     w = estimate_weights(strata, MIXED6, pool_size, substream(11, "exact"))
     assert (np.abs(w.p1 - p1) <= 5 * np.sqrt(p1 * (1 - p1) / pool_size)).all()
