@@ -196,6 +196,12 @@ BATCH = strata_module._POOL_BATCH
 CUTOFF = 1 << 20  # the size above which pools once took a second thread
 
 
+# the reference loop draws in 2**20-row batches, not the pool's BATCH rows, so each case also
+# checks that the doubles a pool counts do not depend on how its draws are batched
+REFERENCE_BATCH = pytest.mark.parametrize("reference_batch", [CUTOFF], ids=["cutoff"])
+
+
+@REFERENCE_BATCH
 @pytest.mark.parametrize(
     "pool_size",
     [
@@ -205,12 +211,12 @@ CUTOFF = 1 << 20  # the size above which pools once took a second thread
         CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the old two-thread cutoff
     ],
 )
-def test_pool_matches_serial_loop(pool_size):
+def test_pool_matches_serial_loop(pool_size, reference_batch):
     s = build_strata(0.6, 0.01, 100)
     rng = substream(5, "pool", 0)
     reference_rng = substream(5, "pool", 0)
     w = estimate_weights(s, AFFINE6, pool_size, rng)
-    expected = _serial_pool_counts(s, AFFINE6, pool_size, reference_rng)
+    expected = _serial_pool_counts(s, AFFINE6, pool_size, reference_rng, batch=reference_batch)
     np.testing.assert_array_equal(w.p1, expected / pool_size)
 
 
@@ -218,6 +224,7 @@ BAND = build_strata(0.6, 0.01, 100)
 FLAT6 = replace(AFFINE6, coefficients=np.zeros(6))
 
 
+@REFERENCE_BATCH
 @pytest.mark.parametrize(
     "strata, model, only",
     [
@@ -228,10 +235,10 @@ FLAT6 = replace(AFFINE6, coefficients=np.zeros(6))
     ],
     ids=["on-first-edge", "below-first-edge", "above-band", "degenerate-split"],
 )
-def test_below_band_count_matches_serial_loop(strata, model, only):
+def test_below_band_count_matches_serial_loop(strata, model, only, reference_batch):
     pool_size = 3 * BATCH + 17
     w = estimate_weights(strata, model, pool_size, substream(8, "pool", 0))
-    expected = _serial_pool_counts(strata, model, pool_size, substream(8, "pool", 0))
+    expected = _serial_pool_counts(strata, model, pool_size, substream(8, "pool", 0), batch=reference_batch)
     np.testing.assert_array_equal(w.hits(), expected)
     if only is None:
         assert (expected > 0).all()
