@@ -23,8 +23,6 @@ import sys
 from contextlib import closing, contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .campaign import (
     final_report,
     init_run_dir,
@@ -38,7 +36,7 @@ from .campaign import (
 from .config import build_evaluator, load_config, with_overrides
 from .errors import AllocationError, ConfigError, EvaluationThresholdError
 from .estimator import confidence_interval, stratified_variance
-from .evaluators import EvaluationRequest, evaluate_batch, oracle_probability
+from .evaluators import MC_BATCH, EvaluationRequest, evaluate_batch, oracle_probability
 from .rng import substream
 from .space import sample_uniform
 
@@ -145,15 +143,18 @@ def _cmd_compare_mc(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     rng = substream(config.seed, "compare-mc")
-    params = sample_uniform(config.space, rng, args.n)
-    requests = [EvaluationRequest(id=i, params=w) for i, w in enumerate(params)]
+    exceed = n = failures = 0
     with closing(build_evaluator(config)) as evaluator:
-        outcome = evaluate_batch(evaluator, requests)
-    values = np.array([r.objective for r in outcome.results])
-    n = values.size
+        for start in range(0, args.n, MC_BATCH):  # the draws of one sample_uniform call, a batch at a time
+            params = sample_uniform(config.space, rng, min(MC_BATCH, args.n - start))
+            outcome = evaluate_batch(evaluator, [EvaluationRequest(id=start + i, params=w) for i, w in enumerate(params)])
+            exceed += sum(r.objective > config.critical_value for r in outcome.results)
+            n += len(outcome.results)
+            failures += len(outcome.failures)
+            del params, outcome  # freed before the next batch's requests are built
     if n == 0:
         raise EvaluationThresholdError("every baseline evaluation failed")
-    p = float((values > config.critical_value).mean())
+    p = exceed / n
     var, unbiased = (stratified_variance([1.0], [p], [n], ddof) for ddof in (0, 1))  # naive MC: one stratum
     lo, hi = confidence_interval(p, unbiased)
     print(
@@ -161,7 +162,7 @@ def _cmd_compare_mc(args) -> int:
             {
                 "estimator": "naive-mc",
                 "n": n,
-                "failures": len(outcome.failures),
+                "failures": failures,
                 "probability": p,
                 "biased_variance": var,
                 "ci95": [lo, hi],

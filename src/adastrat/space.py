@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class ParameterDef:
             raise ConfigError(f"parameter {self.name!r}: a name must not hold a line break")
         if not (self.min < self.max):
             raise ConfigError(f"parameter {self.name!r}: min must be strictly below max")
+        if not math.isfinite(self.max - self.min):  # every point of the box would scale to inf
+            raise ConfigError(f"parameter {self.name!r}: max - min must be finite, got {self.max!r} - {self.min!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,12 @@ class ParameterSpace:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
+        # built once and read-only: the methods below read them, lows() and spans() hand out copies
+        lows = np.array([d.min for d in self.dims], dtype=float)
+        spans = np.array([d.max - d.min for d in self.dims], dtype=float)
+        for name, array in (("_lows", lows), ("_spans", spans), ("_highs", lows + spans)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)  # the dataclass is frozen
 
     @property
     def dim(self) -> int:
@@ -56,17 +64,16 @@ class ParameterSpace:
         return [d.name for d in self.dims]
 
     def lows(self) -> np.ndarray:
-        return np.array([d.min for d in self.dims], dtype=float)
+        return self._lows.copy()
 
     def spans(self) -> np.ndarray:
-        return np.array([d.max - d.min for d in self.dims], dtype=float)
+        return self._spans.copy()
 
     def validate_many(self, ws: np.ndarray) -> np.ndarray:
         ws = np.atleast_2d(np.asarray(ws, dtype=float))
         if ws.shape[1] != self.dim:
             raise BoundsError(f"expected {self.dim} columns, got {ws.shape[1]}")
-        lows, highs = self.lows(), self.lows() + self.spans()
-        bad = ~((ws >= lows) & (ws <= highs) & np.isfinite(ws))
+        bad = ~((ws >= self._lows) & (ws <= self._highs) & np.isfinite(ws))
         if bad.any():
             row, col = np.argwhere(bad)[0]
             d = self.dims[col]
@@ -79,10 +86,15 @@ class ParameterSpace:
     def normalize_many(self, ws: np.ndarray) -> np.ndarray:
         """Map rows in natural units onto [0, 1] per coordinate."""
         ws = self.validate_many(ws)
-        return (ws - self.lows()) / self.spans()
+        return (ws - self._lows) / self._spans
 
-    def denormalize_many(self, us: np.ndarray) -> np.ndarray:
-        return self.lows() + np.atleast_2d(np.asarray(us, dtype=float)) * self.spans()
+    def denormalize_many(self, us: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map rows of [0, 1] coordinates onto the box: fl(fl(u * span) + low) per coordinate.
+
+        With ``out`` (which may be ``us`` itself) the rows are written into it in place.
+        """
+        out = np.multiply(np.atleast_2d(np.asarray(us, dtype=float)), self._spans, out=out)
+        return np.add(out, self._lows, out=out)
 
     def to_list(self) -> list[dict]:
         """The dimensions as ``config.json`` and ``model.json`` record them."""

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,10 @@ from contextlib import contextmanager
 from adastrat import cli
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
-from adastrat.config import load_config
-from adastrat.space import DEFAULT_SPACE
+from adastrat.config import build_evaluator, load_config
+from adastrat.estimator import confidence_interval, stratified_variance
+from adastrat.rng import substream
+from adastrat.space import DEFAULT_SPACE, sample_uniform
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
@@ -324,6 +327,18 @@ def test_line_break_in_a_parameter_name_is_exit_code_2(tmp_path, config_path, ca
         assert not run_dir.exists()
 
 
+def test_a_span_that_is_not_finite_is_exit_code_2(tmp_path, config_path, capsys):
+    space = DEFAULT_SPACE.to_list()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()),
+                               "space": [{"name": "a", "min": -1e308, "max": 1e308}, *space[1:]]}))
+    run_dir = tmp_path / "r"
+    for argv in (["init", "--run-dir", str(run_dir)], ["run", "--run-dir", str(run_dir)], ["oracle", "--n", "10"]):
+        assert main([*argv, "--config", str(bad)]) == 2, argv[0]
+        assert "parameter 'a': max - min must be finite" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_sample_ids_that_repeat_or_reach_next_id_are_refused(tmp_path, config_path, capsys):
     full, stopped = tmp_path / "full", tmp_path / "stopped"
     assert main(["run", "--config", str(config_path), "--run-dir", str(full)]) == 0
@@ -386,6 +401,47 @@ def test_compare_mc_baseline(config_path, capsys):
     assert doc["estimator"] == "naive-mc"
     assert doc["n"] == 400
     assert 0.0 <= doc["probability"] <= 1.0
+
+
+def test_compare_mc_batches_print_the_one_shot_result(config_path, capsys):
+    n = cli.MC_BATCH + 17  # the last batch holds 17 draws
+    assert main(["compare-mc", "--config", str(config_path), "--n", str(n), "--seed", "5"]) == 0
+    printed = capsys.readouterr().out
+    config = load_config(config_path)
+    values = build_evaluator(config).evaluate_many(sample_uniform(config.space, substream(5, "compare-mc"), n))
+    p = float((values > config.critical_value).mean())
+    var, unbiased = (stratified_variance([1.0], [p], [n], ddof) for ddof in (0, 1))
+    expected = {"estimator": "naive-mc", "n": n, "failures": 0, "probability": p, "biased_variance": var,
+                "ci95": list(confidence_interval(p, unbiased))}
+    assert printed == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_compare_mc_numbers_its_requests_across_batches(tmp_path, monkeypatch, capsys):
+    # the garbage solver fails ids divisible by 3: of ids 0..9, four fail, wherever the batches split
+    doc = {
+        "critical_value": 0.95,
+        "evaluator": {"type": "external", "command": [sys.executable, str(FIXTURES / "flaky_evaluator.py"), "garbage"]},
+        "preliminary_count": 10,
+        "iteration_budgets": [5],
+        "seed": 1,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "MC_BATCH", 4)
+    assert main(["compare-mc", "--config", str(cfg), "--n", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n"], out["failures"]) == (6, 4)
+    assert out["probability"] == 1.0  # every parameter sum exceeds 0.95
+
+
+def test_compare_mc_holds_one_batch_at_a_time(config_path, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["compare-mc", "--config", str(config_path), "--n", str(2 * cli.MC_BATCH + 1)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * cli.MC_BATCH  # one batch of requests and results takes about 500 B a draw
 
 
 def test_oracle_subcommand(config_path, capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import closing
 from pathlib import Path
 
@@ -80,6 +81,46 @@ def test_oracle_probability_extreme_critical_values():
     assert p_low == 1.0 and se_low == 0.0
     p_high, _ = oracle_probability(obj, 2.0, 5_000, substream(2, "oracle"))
     assert p_high == 0.0
+
+
+# (n, batch): n below, at and past one batch; n a multiple of neither the batch nor
+# the 4,096-row slice; batches below, at and past one slice; one row per batch
+ORACLE_SHAPES = [(100, 1 << 16), (8_192, 8_192), (12_345, 5_000), (20_000, 1 << 16), (9_999, 4_096), (257, 1)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.025], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("n, batch", ORACLE_SHAPES)
+def test_oracle_streams_the_one_shot_count(n, batch, noise):
+    obj = SyntheticObjective(noise_scale=noise, seed=3)
+    reference = substream(4, "stream").random((n, DEFAULT_SPACE.dim))
+    exceed = int((obj.evaluate_many(DEFAULT_SPACE.denormalize_many(reference)) > 0.6).sum())
+    assert 0 < exceed < n
+    assert oracle_probability(obj, 0.6, n, substream(4, "stream"), batch=batch)[0] == exceed / n
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_oracle_refuses_a_batch_below_one(batch):
+    with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+        oracle_probability(SyntheticObjective(), 0.6, 10, substream(4, "stream"), batch=batch)
+
+
+def test_oracle_holds_one_buffer():
+    buffer = (1 << 16) * DEFAULT_SPACE.dim * 8  # 3 MiB of draws
+    tracemalloc.start()
+    try:
+        oracle_probability(SyntheticObjective(noise_scale=0.025), 0.6, 1 << 18, substream(4, "stream"), batch=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * buffer
+
+
+def test_oracle_reproduces_the_frozen_calibration_truth(calibration):
+    spec = calibration["evaluator"]
+    obj = SyntheticObjective(kind=spec["kind"], noise_scale=spec["noise_scale"], seed=spec["seed"])
+    rng = substream(calibration["oracle_seed"], calibration["oracle_stream"])
+    p, se = oracle_probability(obj, calibration["critical_value"], calibration["oracle_draws"], rng)
+    assert (p, se) == (calibration["oracle_truth"], calibration["oracle_standard_error"])
 
 
 def test_evaluate_batch_empty_and_parallel_determinism():

@@ -41,6 +41,34 @@ def test_parameter_def_rejects_empty_or_inverted():
         ParameterSpace(())
 
 
+@pytest.mark.parametrize("low, high", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+def test_parameter_def_refuses_a_span_that_is_not_finite(low, high):
+    # every point of such a box would scale to inf, and no evaluation could accept it
+    with pytest.raises(ConfigError, match="parameter 'a': max - min must be finite"):
+        ParameterDef("a", low, high)
+    assert ParameterDef("a", -1e307, 1e307).max == 1e307  # a finite span, however wide, is kept
+
+
+def test_bounds_are_built_once_and_handed_out_as_copies():
+    space = ParameterSpace((ParameterDef("a", 1.0, 3.0), ParameterDef("b", -2.0, 2.0)))
+    lows, spans = space.lows(), space.spans()
+    np.testing.assert_array_equal(lows, [1.0, -2.0])
+    np.testing.assert_array_equal(spans, [2.0, 4.0])
+    lows[0] = spans[0] = 99.0  # a caller's copy: the space is unchanged
+    np.testing.assert_array_equal(space.lows(), [1.0, -2.0])
+    np.testing.assert_array_equal(space.denormalize_many([[1.0, 1.0]]), [[3.0, 2.0]])
+    assert space == ParameterSpace((ParameterDef("a", 1.0, 3.0), ParameterDef("b", -2.0, 2.0)))
+
+
+def test_denormalize_into_a_given_array_is_the_same_formula():
+    us = substream(17, "out").random((50, DEFAULT_SPACE.dim))
+    expected = DEFAULT_SPACE.lows() + us * DEFAULT_SPACE.spans()  # fl(fl(u * span) + low)
+    np.testing.assert_array_equal(DEFAULT_SPACE.denormalize_many(us), expected)
+    buffer = us.copy()
+    assert DEFAULT_SPACE.denormalize_many(buffer, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, expected)
+
+
 
 # every boundary str.splitlines splits on, which would break the samples.tsv header
 LINE_BREAKS = {"lf": "\n", "cr": "\r", "crlf": "\r\n", "vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d",
