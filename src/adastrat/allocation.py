@@ -19,14 +19,17 @@ from .errors import AllocationError, UnfillableStratumError
 from .strata import StratumSet
 from .surrogate import SurrogateModel
 
-# Rows per candidate-search draw. Per row, a batch costs the draw, one
-# normalized-coordinate product and a band test; the natural-unit path of the
-# few rows near an open quota and the bookkeeping cost about the same per
-# batch whatever its size. The search stops after the first batch
-# that fills every quota, and the last kept row usually sits a few thousand
-# rows into the stream, so a small batch also draws little past it. The
-# per-stratum cap is checked once per batch.
+# Rows of the first candidate-search draw, and the fewest of any later one. Per row, a
+# batch costs the draw, one normalized-coordinate product and a band test; the few
+# rows in the band and the bookkeeping cost about the same per batch whatever its
+# size. So a search still far from its quotas draws larger batches, sized from its
+# hit rates (see ``select_candidates``), while one that fills them in its first
+# batch draws little past its last kept row. The per-stratum cap is checked once
+# per batch.
 _SEARCH_BATCH = 1 << 12
+
+# Rows of the largest draw, and of the one draw buffer: 384 KiB at d = 6.
+_SEARCH_BATCH_CAP = 1 << 13
 
 #: Hits a stratum needs before the plan gives it samples: in its pool, or for exact
 #: weights in expectation over a search of ``PER_STRATUM_CAP`` draws (p1 >= 10**-6).
@@ -211,13 +214,18 @@ def select_candidates(
     ``(additional.sum(), d)`` array in natural units, ordered by (stratum
     index, draw order). A stratum still unfilled after
     ``PER_STRATUM_CAP * additional[i]`` total draws raises
-    UnfillableStratumError; the cap is checked after each batch of
-    ``_SEARCH_BATCH`` rows, so it is met to within one batch.
+    UnfillableStratumError; the cap is checked after each batch, so it is met
+    to within one batch.
 
-    The generator is drawn in ``_SEARCH_BATCH``-row batches. Consecutive
-    ``rng.random((m, d))`` calls return the same rows as one large call, so
-    the picks do not depend on the batch size; only how many rows are drawn
-    past the last kept one (fewer than one batch) does.
+    Every batch is drawn by ``rng.random(out=...)`` into one buffer of
+    ``_SEARCH_BATCH_CAP`` rows. The first batch has ``_SEARCH_BATCH`` rows;
+    each later one has half the rows the slowest open quota still needs at
+    its hit rate so far, 0.5 * max_i need[i] * drawn / max(hits[i], 1), held
+    within [``_SEARCH_BATCH``, ``_SEARCH_BATCH_CAP``]. Consecutive ``random``
+    calls return the same rows as one large call, so the picks do not depend
+    on the batch sizes; only how many rows are drawn past the last kept one
+    does, and that is under one batch, of at most ``_SEARCH_BATCH_CAP`` = 2**13
+    rows.
 
     A hit is binned from its natural-unit representation through
     ``model.predict_many``, the path that re-bins every campaign sample, so
@@ -238,11 +246,12 @@ def select_candidates(
     bounds = np.concatenate(([-np.inf], strata.edges, [np.nan]))  # x >= NaN is never true
     hits = np.zeros(n, dtype=np.int64)
     picks, picked = [np.empty((0, space.dim))], [np.empty(0, dtype=np.intp)]
-    drawn = 0
+    buffer = np.empty((_SEARCH_BATCH_CAP, space.dim))
+    drawn, size = 0, _SEARCH_BATCH
     near = None  # the strata within reach of an open quota, recomputed when a quota fills
     while need.any():
-        us = rng.random((_SEARCH_BATCH, space.dim))
-        drawn += _SEARCH_BATCH
+        us = rng.random(out=buffer[:size])
+        drawn += len(us)
         if near is None:
             open_below = np.concatenate(([0], np.cumsum(need > 0)))
             near = open_below[upper] > open_below[lower]
@@ -250,20 +259,21 @@ def select_candidates(
         x = model.predict_normalized(us)
         # the rows that bin into strata first..last; a NaN row stays, and bin_many raises on it
         rows = np.flatnonzero(~(x < bounds[first]) & ~(x >= bounds[last + 1]))
-        rough = strata.bin_many(x[rows])
-        hits += np.bincount(rough, minlength=n)
-        ws = space.denormalize_many(us[rows[near[rough]]])
-        idx = strata.bin_many(model.predict_many(ws))
-        # keep the first need[i] rows of each stratum i: rank the rows within their stratum in draw order
-        order = np.argsort(idx, kind="stable")
-        counts = np.bincount(idx, minlength=n)
-        rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[idx[order]]
-        keep = order[rank < need[idx[order]]]
-        picks.append(ws[keep])
-        picked.append(idx[keep])
-        need -= np.bincount(idx[keep], minlength=n)
-        if not need[idx[keep]].all():
-            near = None
+        if rows.size:
+            rough = strata.bin_many(x[rows])
+            hits += np.bincount(rough, minlength=n)
+            ws = space.denormalize_many(us[rows[near[rough]]])
+            idx = strata.bin_many(model.predict_many(ws))
+            # keep the first need[i] rows of each stratum i: rank the rows within their stratum in draw order
+            order = np.argsort(idx, kind="stable")
+            counts = np.bincount(idx, minlength=n)
+            rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[idx[order]]
+            keep = order[rank < need[idx[order]]]
+            picks.append(ws[keep])
+            picked.append(idx[keep])
+            need -= np.bincount(idx[keep], minlength=n)
+            if not need[idx[keep]].all():
+                near = None
         short = np.flatnonzero((need > 0) & (drawn >= PER_STRATUM_CAP * additional))
         if short.size:
             i = short[0]
@@ -273,6 +283,8 @@ def select_candidates(
                 found=int(additional[i] - need[i]),
                 estimated_weight=float(hits[i] / drawn),
             )
+        slowest = (need * drawn / np.maximum(hits, 1)).max()  # a filled quota's need is 0
+        size = int(min(max(slowest / 2, _SEARCH_BATCH), _SEARCH_BATCH_CAP))
     return np.concatenate(picks)[np.argsort(np.concatenate(picked), kind="stable")]
 
 

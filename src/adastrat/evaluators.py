@@ -46,10 +46,11 @@ MC_BATCH = 1 << 16
 _ORACLE_SLICE = 1 << 12
 
 #: What one external request can raise without endangering the others: it fails alone.
-_REQUEST_ERRORS = (TimeoutError, EOFError, OSError, ValueError, OverflowError)
+#: ``json.loads`` raises RecursionError on a reply nested too deeply.
+_REQUEST_ERRORS = (TimeoutError, EOFError, OSError, ValueError, OverflowError, RecursionError)
 
 #: Longest single wait for replies, in seconds; a longer timeout is met over several
-#: waits. ``select`` refuses waits past about 2**63 ns (an evaluator timeout of 1e10 s).
+#: waits. ``poll`` refuses waits past 2**31 ms (an evaluator timeout of 1e10 s).
 _MAX_WAIT = 3600.0
 
 
@@ -255,7 +256,7 @@ class ExternalEvaluator:
                 fds = {self._children[slot][0].stdout.fileno(): slot for slot in flight}
                 earliest = min(started for _, started, _ in flight.values())
                 wait = min(_MAX_WAIT, max(0.0, earliest + self.timeout - time.monotonic()))
-                ready, _, _ = select.select(list(fds), [], [], wait)
+                ready = _ready(fds, wait)
                 for fd, slot in fds.items():
                     req, started, buf = flight.pop(slot)
                     try:
@@ -352,11 +353,20 @@ def _wait(proc: subprocess.Popen, timeout: float) -> None:
         fd = None
     if fd is not None:
         try:
-            if not select.select([fd], [], [], timeout)[0]:
+            if not _ready([fd], timeout):
                 raise subprocess.TimeoutExpired(proc.args, timeout)
         finally:
             os.close(fd)
     proc.wait(timeout=timeout)
+
+
+def _ready(fds, timeout: float) -> set:
+    """The ``fds`` with data, EOF or an error to read within ``timeout`` seconds (``poll``, unlike
+    ``select``, takes fd numbers of 1024 and above)."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    return {fd for fd, _ in poller.poll(timeout * 1000.0)}
 
 
 def evaluate_batch(evaluator, requests: Sequence[EvaluationRequest]) -> BatchOutcome:

@@ -241,14 +241,14 @@ def test_select_candidates_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def first_hits(seed, additional, strata=BAND, model=TILTED):
-    """Reference search: one draw of 2^16 rows, binned in natural units, then the
+def first_hits(seed, additional, strata=BAND, model=TILTED, rows=1 << 16):
+    """Reference search: one draw of ``rows`` rows, binned in natural units, then the
     first hits per stratum.
 
     Returns the picks in (stratum, draw order) and the stream index of the
     last kept row.
     """
-    ws = model.space.denormalize_many(substream(seed, "batch").random((1 << 16, model.space.dim)))
+    ws = model.space.denormalize_many(substream(seed, "batch").random((rows, model.space.dim)))
     idx = strata.bin_many(model.predict_many(ws))
     picks, last = [], -1
     for i in np.flatnonzero(additional > 0):
@@ -259,31 +259,53 @@ def first_hits(seed, additional, strata=BAND, model=TILTED):
     return picks, last
 
 
-@pytest.mark.parametrize("batch", [1, 7, 4096, 65536])
-def test_select_candidates_independent_of_batch_size(monkeypatch, batch):
+@pytest.mark.parametrize("batch, cap", [(1, 1), (7, 7), (4096, 8192), (65536, 65536)], ids=["1", "7", "4096", "65536"])
+def test_select_candidates_independent_of_batch_size(monkeypatch, batch, cap):
     expected, _ = first_hits(9, QUOTAS)
     monkeypatch.setattr(allocation, "_SEARCH_BATCH", batch)
+    monkeypatch.setattr(allocation, "_SEARCH_BATCH_CAP", cap)
     picks = select_candidates(BAND, TILTED, QUOTAS, substream(9, "batch"))
     np.testing.assert_array_equal(picks, np.array([w for _, w in expected]))
 
 
 class CountingGenerator:
-    """Generator stand-in that counts the rows the search draws."""
+    """Generator stand-in that records the rows of each batch the search draws."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.rows = 0
+        self.batches = []
 
-    def random(self, size):
-        self.rows += size[0]
-        return self.rng.random(size)
+    @property
+    def rows(self):
+        return sum(self.batches)
+
+    def random(self, size=None, out=None):
+        us = self.rng.random(size, out=out)
+        self.batches.append(len(us))
+        return us
 
 
 def test_select_candidates_stops_within_one_batch_of_last_kept_row():
     _, last = first_hits(10, QUOTAS)
     rng = CountingGenerator(substream(10, "batch"))
     select_candidates(BAND, TILTED, QUOTAS, rng)
-    assert last + 1 <= rng.rows < last + 1 + allocation._SEARCH_BATCH
+    assert last + 1 <= rng.rows < last + 1 + rng.batches[-1]
+    assert rng.batches[0] == allocation._SEARCH_BATCH
+    assert max(rng.batches) <= allocation._SEARCH_BATCH_CAP
+
+
+def test_select_candidates_grows_its_batches_for_a_rare_stratum():
+    """A quota of 5 in a stratum of p1 = 10**-4 needs about 50,000 rows: after the first
+    batch the search draws at the cap, and still keeps the reference search's picks."""
+    strata = build_strata(0.5, 5e-5, 10)  # inner strata 10**-4 wide under the identity surrogate
+    additional = quotas(strata, {5: 5})
+    expected, last = first_hits(12, additional, strata, IDENTITY, rows=1 << 18)
+    rng = CountingGenerator(substream(12, "batch"))
+    picks = select_candidates(strata, IDENTITY, additional, rng)
+    assert picks.tobytes() == np.array([w for _, w in expected]).tobytes()
+    assert rng.batches[0] == allocation._SEARCH_BATCH
+    assert rng.batches[1] == max(rng.batches) == allocation._SEARCH_BATCH_CAP
+    assert last + 1 <= rng.rows < last + 1 + rng.batches[-1]
 
 
 def far_box(low, span):
@@ -336,8 +358,8 @@ def test_select_candidates_bins_in_natural_units_only_near_open_quotas(monkeypat
     exact = BAND.bin_many(predict_many(TILTED, PLANE.denormalize_many(us)))
     rough = BAND.bin_many(TILTED.predict_normalized(us))
     expected = 0
-    for start in range(0, rng.rows, allocation._SEARCH_BATCH):
+    for start, size in zip(np.cumsum([0] + rng.batches[:-1]), rng.batches):
         open_quotas = np.flatnonzero(QUOTAS > np.bincount(exact[:start], minlength=BAND.n_strata))
-        near = np.abs(rough[start : start + allocation._SEARCH_BATCH, None] - open_quotas).min(axis=1) <= 1
+        near = np.abs(rough[start : start + size, None] - open_quotas).min(axis=1) <= 1
         expected += int(near.sum())
     assert sum(natural) == expected < rng.rows

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -220,11 +222,45 @@ def test_external_timeout_reported_per_request():
 
 
 def test_external_timeout_past_the_longest_select_wait_serves_a_batch():
-    # 1e10 s is past what one select call accepts (about 2**63 ns)
+    # 1e10 s is past what one poll call accepts (2**31 ms)
     with _external("none", timeout=1e10, parallelism=2) as evaluator:
         out = evaluate_batch(evaluator, _requests(4, "long"))
     assert not out.failures
     assert [r.id for r in out.results] == [0, 1, 2, 3]
+
+
+def test_external_reply_nested_too_deeply_fails_only_its_request(tmp_path, spawned):
+    # json.loads raises RecursionError on this reply to id 1
+    solver = tmp_path / "deep.py"
+    solver.write_text("import json, sys\n"
+                      "for line in sys.stdin:\n"
+                      "    rid = json.loads(line)['id']\n"
+                      "    print('[' * 100000 if rid == 1 else json.dumps({'id': rid, 'objective': rid}), flush=True)\n")
+    with closing(ExternalEvaluator(command=[sys.executable, str(solver)])) as evaluator:
+        out = evaluate_batch(evaluator, _requests(4, "deep"))
+    assert [f.id for f in out.failures] == [1]
+    assert out.failures[0].reason.startswith("RecursionError: ")
+    assert [r.id for r in out.results] == [0, 2, 3]
+    assert len(spawned) == 2  # ids 2 and 3 went to a restarted child
+
+
+def test_external_children_are_served_past_fd_1024():
+    # fill the fd table past 1100, so every pipe of the children lies above select's limit of 1024
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 2048:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(2048, hard), hard))
+    pipes = []
+    try:
+        while not pipes or pipes[-1][1] < 1100:
+            pipes.append(os.pipe())
+        command = [sys.executable, str(FIXTURES / "external_objective.py")]
+        with closing(ExternalEvaluator(command=command, parallelism=2)) as evaluator:
+            out = evaluate_batch(evaluator, _requests(4, "fds"))
+        assert not out.failures and [r.id for r in out.results] == [0, 1, 2, 3]
+    finally:
+        for fd in itertools.chain.from_iterable(pipes):
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 def test_external_wrong_id_detected():
