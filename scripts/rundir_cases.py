@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write ten fixed run directories for comparing two checkouts byte for byte.
+"""Write ten fixed run directories and three brute-force outputs for comparing two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
@@ -36,19 +36,33 @@ DIR/product, DIR/stopped, DIR/gap, DIR/exact and DIR/default:
   100 + 99 evaluations, 102 strata, exact weights, prune share 0) at seed 7,
   whose candidate search draws the longest streams of all the cases.
 
-The other eight name a ``pool_size`` and run on the occupancy pool. Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
+The other eight name a ``pool_size`` and run on the occupancy pool. Then it
+writes the stdout of three ``adastrat`` commands, which draw through the
+brute-force loop, each at a fixed ``--n`` and seed:
+
+- ``compare-mc-default.json``: ``compare-mc`` on ``default``'s config
+  (the calibration objective), 70,001 draws at seed 5, past one batch and a
+  multiple of neither the batch nor the slice;
+- ``compare-mc-external.json``: ``compare-mc`` on ``external``'s config,
+  3,000 draws at seed 2 through two children of the fixture solver;
+- ``oracle-default.json``: ``oracle`` on ``default``'s config, 3*10^6
+  draws at seed 7.
+
+Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
 """
 import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from adastrat.campaign import load_state, run_campaign, run_iteration, run_preliminary, write_report
+from adastrat.cli import main as adastrat
 from adastrat.config import RunConfig
 
 CALIBRATION = json.loads((ROOT / "tests" / "fixtures" / "calibration.json").read_text())
@@ -98,6 +112,13 @@ CASES = {
     "default": RunConfig(**REFERENCE, seed=7),
 }
 
+#: File in DIR -> the ``adastrat`` command whose stdout it holds; ``--config`` is relative to DIR.
+CLI_OUTPUTS = {
+    "compare-mc-default.json": ["compare-mc", "--config", "default/config.json", "--n", "70001", "--seed", "5"],
+    "compare-mc-external.json": ["compare-mc", "--config", "external/config.json", "--n", "3000", "--seed", "2"],
+    "oracle-default.json": ["oracle", "--config", "default/config.json", "--n", "3000000", "--seed", "7"],
+}
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -120,6 +141,13 @@ def main() -> int:
             if name == "stopped":  # a re-run of a stopped campaign
                 run_campaign(config, run_dir)
         print(f"wrote {run_dir}")
+    for name, argv in CLI_OUTPUTS.items():
+        argv = [str(args.out / a) if a.endswith("config.json") else a for a in argv]
+        with open(args.out / name, "x") as out, redirect_stdout(out):
+            status = adastrat(argv)
+        if status != 0:
+            parser.error(f"adastrat {' '.join(argv)} exited {status}")
+        print(f"wrote {args.out / name}")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The pipeline: fit a cheap linear surrogate to a preliminary batch of
 expensive evaluations, slice the surrogate's range into strata around the
-critical value, estimate how often random inputs land in each stratum from a
-huge surrogate-only pool, predict per-stratum exceedance odds from a Laplace
+critical value, compute each stratum's probability under the uniform input
+distribution exactly (or estimate it from a surrogate-only pool, where the
+config names a pool size), predict per-stratum exceedance odds from a Laplace
 residual model, and spend the remaining evaluation budget where it shrinks
 the estimator variance most. One adaptive iteration or several smaller ones;
 the estimate, its variance, and the cost of matching it with naive Monte

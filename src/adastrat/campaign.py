@@ -32,7 +32,7 @@ from .conditional import ConditionalTable, build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, config_from_dict
 from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate, hard_tail_p2
-from .evaluators import FAILURE_ABORT_FRACTION, EvaluationRequest, evaluate_batch
+from .evaluators import FAILURE_ABORT_FRACTION, evaluate_batch
 from .rng import substream
 from .space import SampleRecord, sample_product, sample_uniform
 from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights, exact_weights
@@ -119,15 +119,14 @@ def _estimate(state: RunState) -> tuple[RareEventEstimate, np.ndarray, np.ndarra
 def _evaluate_new(state: RunState, params: np.ndarray, iteration: int) -> None:
     """Run the expensive evaluator on the rows of ``params`` and append the survivors."""
     first = state.next_id
-    requests = [EvaluationRequest(id=first + i, params=w) for i, w in enumerate(params)]
-    state.next_id += len(requests)
-    outcome = evaluate_batch(state.evaluator, requests)
+    state.next_id += len(params)
+    outcome = evaluate_batch(state.evaluator, range(first, state.next_id), params)
     if state.run_dir is not None:
         for f in outcome.failures:
             persist.append_log(state.run_dir, f"evaluation {f.id} failed: {f.reason}")
-    if iteration == 0 and len(outcome.failures) > FAILURE_ABORT_FRACTION * len(requests):
+    if iteration == 0 and len(outcome.failures) > FAILURE_ABORT_FRACTION * len(params):
         raise EvaluationThresholdError(
-            f"{len(outcome.failures)} of {len(requests)} evaluations failed (threshold {FAILURE_ABORT_FRACTION:.0%})"
+            f"{len(outcome.failures)} of {len(params)} evaluations failed (threshold {FAILURE_ABORT_FRACTION:.0%})"
         )
     state.samples.extend(
         SampleRecord(id=res.id, params=params[res.id - first], iteration=iteration, j_true=res.objective)

@@ -36,9 +36,8 @@ from .campaign import (
 from .config import build_evaluator, load_config, with_overrides
 from .errors import AllocationError, ConfigError, EvaluationThresholdError
 from .estimator import confidence_interval, stratified_variance
-from .evaluators import MC_BATCH, EvaluationRequest, evaluate_batch, oracle_probability
+from .evaluators import MC_BATCH, count_exceedances, oracle_probability
 from .rng import substream
-from .space import sample_uniform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,15 +142,9 @@ def _cmd_compare_mc(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     rng = substream(config.seed, "compare-mc")
-    exceed = n = failures = 0
     with closing(build_evaluator(config)) as evaluator:
-        for start in range(0, args.n, MC_BATCH):  # the draws of one sample_uniform call, a batch at a time
-            params = sample_uniform(config.space, rng, min(MC_BATCH, args.n - start))
-            outcome = evaluate_batch(evaluator, [EvaluationRequest(id=start + i, params=w) for i, w in enumerate(params)])
-            exceed += sum(r.objective > config.critical_value for r in outcome.results)
-            n += len(outcome.results)
-            failures += len(outcome.failures)
-            del params, outcome  # freed before the next batch's requests are built
+        exceed, failures = count_exceedances(evaluator, config.critical_value, args.n, rng, MC_BATCH)
+    n = args.n - failures
     if n == 0:
         raise EvaluationThresholdError("every baseline evaluation failed")
     p = exceed / n

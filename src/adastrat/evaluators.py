@@ -8,6 +8,11 @@ evaluator wraps any command that speaks the line protocol: one JSON object
 ``{"id": ..., "objective": ...}`` per reply on stdout. An evaluator is built
 once per campaign with its parallelism and run dir; the caller's thread
 serves all its children, and each child serves every batch until ``close``.
+
+Every evaluator has one call, ``run_batch(ids, ws)``: row i of ``ws`` is request
+``ids[i]``. It returns, in row order, one objective per row (NaN where the row
+failed) and the seconds each row took, plus a failure reason per failed row,
+keyed by row. ``count_exceedances`` is the one brute-force loop, for any evaluator.
 """
 from __future__ import annotations
 
@@ -38,12 +43,12 @@ FAILURE_ABORT_FRACTION = 0.2
 
 SYNTHETIC_KINDS = ("quadratic", "linear")
 
-#: Draws one brute-force batch holds: the oracle's buffer rows, and ``compare-mc``'s requests per batch.
+#: Draws one brute-force batch holds: the rows of its one reused buffer.
 MC_BATCH = 1 << 16
 
-#: Rows the oracle evaluates at once, so that a slice's column temporaries stay in cache:
+#: Rows the brute-force loop evaluates at once, so that a slice's column temporaries stay in cache:
 #: of 2**10 to 2**16, 2**12 and 2**14 ran fastest (10**7 draws, 2-core x86 host), 2**12 in less memory.
-_ORACLE_SLICE = 1 << 12
+_MC_SLICE = 1 << 12
 
 #: What one external request can raise without endangering the others: it fails alone.
 #: ``json.loads`` raises RecursionError on a reply nested too deeply.
@@ -52,12 +57,6 @@ _REQUEST_ERRORS = (TimeoutError, EOFError, OSError, ValueError, OverflowError, R
 #: Longest single wait for replies, in seconds; a longer timeout is met over several
 #: waits. ``poll`` refuses waits past 2**31 ms (an evaluator timeout of 1e10 s).
 _MAX_WAIT = 3600.0
-
-
-@dataclass(frozen=True)
-class EvaluationRequest:
-    id: int
-    params: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,49 +148,47 @@ class SyntheticObjective:
             j = j + self.noise_scale * _coordinate_noise(self.seed, ws)
         return j
 
-    def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """One vectorised call for all requests; a closed form needs no workers and never fails."""
+    def run_batch(self, ids: Sequence[int], ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """One ``evaluate_many`` call for all rows (a closed form needs no ids or workers, and never fails)."""
         started = time.monotonic()
-        values = self.evaluate_many(np.vstack([r.params for r in requests]))
-        elapsed = (time.monotonic() - started) / len(requests)
-        results = [
-            EvaluationResult(id=r.id, objective=float(v), wall_time=elapsed)
-            for r, v in zip(requests, values)
-        ]
-        return results, []
+        objectives = self.evaluate_many(ws)
+        return objectives, np.full(len(objectives), (time.monotonic() - started) / len(objectives)), {}
 
     def close(self) -> None:
         """Nothing to release: the closed form runs in-process."""
 
 
-def oracle_probability(
-    objective: SyntheticObjective,
-    critical_value: float,
-    n: int,
-    rng: np.random.Generator,
-    batch: int = MC_BATCH,
-) -> tuple[float, float]:
-    """Brute-force exceedance fraction over n uniform draws, with its standard error.
+def count_exceedances(evaluator, critical_value: float, n: int, rng: np.random.Generator, batch: int) -> tuple[int, int]:
+    """Exceedances of ``critical_value`` and failures among ``evaluator``'s objectives at n uniform draws.
 
     The draws are the rows of ``rng.random((n, d))``, drawn ``batch`` rows at a
     time into one reused buffer, denormalized there in place and evaluated in
-    ``_ORACLE_SLICE``-row slices, so ``evaluate_many``'s temporaries stay small.
-    The rows, their order and their values do not depend on ``batch``, so
-    neither does the result.
+    ``_MC_SLICE``-row slices as requests 0 to n - 1, so no slice's temporaries
+    grow with n. The rows, their order and their values do not depend on
+    ``batch``, so neither do a deterministic evaluator's counts.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    space = objective.space
+    space = evaluator.space
     buffer = np.empty((min(batch, n), space.dim))
-    exceed = 0
+    exceed = failed = 0
     for start in range(0, n, batch):
         ws = buffer[: n - start]
         space.denormalize_many(rng.random(out=ws), out=ws)
-        for row in range(0, len(ws), _ORACLE_SLICE):
-            j = objective.evaluate_many(ws[row : row + _ORACLE_SLICE])
-            exceed += int(np.count_nonzero(j > critical_value))
+        for row in range(0, len(ws), _MC_SLICE):
+            part = ws[row : row + _MC_SLICE]
+            objectives, _, reasons = _run_checked(evaluator, range(start + row, start + row + len(part)), part)
+            exceed += int(np.count_nonzero(objectives > critical_value))  # NaN, a failed row, exceeds nothing
+            failed += len(reasons)
+    return exceed, failed
+
+
+def oracle_probability(objective: SyntheticObjective, critical_value: float, n: int, rng: np.random.Generator,
+                       batch: int = MC_BATCH) -> tuple[float, float]:
+    """Brute-force exceedance fraction over ``count_exceedances``' n draws, with its standard error."""
+    exceed, _ = count_exceedances(objective, critical_value, n, rng, batch)
     p = exceed / n
     return p, math.sqrt(stratified_variance([1.0], [p], [n]))  # naive MC: one stratum
 
@@ -200,7 +197,7 @@ class ExternalEvaluator:
     """Keep one running command per slot and exchange JSON lines with all of them from one thread.
 
     ``parallelism`` slots, each with one child that gets ``run_dir`` (if any) in its
-    environment and, when it has none in flight, the batch's next waiting request. A
+    environment and, when it has none in flight, the batch's next waiting row. A
     slot's child serves every ``run_batch`` until ``close`` (or, for an evaluator
     dropped unclosed, a finalizer); a request that kills or fails it replaces it. An
     exception that escapes ``run_batch``, Ctrl-C included, kills every child at once.
@@ -236,21 +233,22 @@ class ExternalEvaluator:
         env = None if self.run_dir is None else {**os.environ, RUN_DIR_ENV: self.run_dir}
         return subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr, env=env)
 
-    def run_batch(self, requests: Sequence[EvaluationRequest]) -> tuple[list[EvaluationResult], list[EvaluationFailure]]:
-        """One queue: on each pass, every slot with no request in flight takes the next waiting one."""
-        pending = list(requests)
-        results, failures = [], []
-        flight: dict = {}  # slot -> (request, its start time, reply bytes so far)
+    def run_batch(self, ids: Sequence[int], ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """One queue of rows: on each pass, every slot with no request in flight takes the next waiting row."""
+        objectives, seconds, reasons = np.full(len(ids), np.nan), np.full(len(ids), np.nan), {}
+        waiting = 0  # rows before it have been sent
+        flight: dict = {}  # slot -> (row, its start time, reply bytes so far)
         try:
-            while pending or flight:
+            while waiting < len(ids) or flight:
                 for slot in range(self.parallelism):
-                    if pending and slot not in flight:  # one per pass: a child that cannot start fails one
-                        req, started = pending.pop(0), time.monotonic()
+                    if waiting < len(ids) and slot not in flight:  # one per pass: a child that cannot start fails one
+                        row, started = waiting, time.monotonic()
+                        waiting += 1
                         try:
-                            self._write(slot, req)
-                            flight[slot] = (req, started, bytearray())
+                            self._write(slot, int(ids[row]), ws[row])
+                            flight[slot] = (row, started, bytearray())
                         except _REQUEST_ERRORS as exc:
-                            failures.append(self._fail(slot, req, exc))
+                            reasons[row] = self._fail(slot, exc)
                 if not flight:
                     continue
                 fds = {self._children[slot][0].stdout.fileno(): slot for slot in flight}
@@ -258,7 +256,7 @@ class ExternalEvaluator:
                 wait = min(_MAX_WAIT, max(0.0, earliest + self.timeout - time.monotonic()))
                 ready = _ready(fds, wait)
                 for fd, slot in fds.items():
-                    req, started, buf = flight.pop(slot)
+                    row, started, buf = flight.pop(slot)
                     try:
                         if fd in ready:
                             chunk = os.read(fd, 65536)
@@ -266,23 +264,23 @@ class ExternalEvaluator:
                                 raise EOFError("evaluator closed its output stream")
                             buf.extend(chunk)
                         if b"\n" in buf:
-                            results.append(EvaluationResult(req.id, self._parse_reply(bytes(buf), req.id),
-                                                            time.monotonic() - started))
+                            objectives[row] = self._parse_reply(bytes(buf), int(ids[row]))
+                            seconds[row] = time.monotonic() - started
                         elif time.monotonic() >= started + self.timeout:
                             raise TimeoutError("evaluator did not reply before the timeout")
                         else:
-                            flight[slot] = (req, started, buf)
+                            flight[slot] = (row, started, buf)
                     except _REQUEST_ERRORS as exc:
-                        failures.append(self._fail(slot, req, exc))
-            return results, failures
+                        reasons[row] = self._fail(slot, exc)
+            return objectives, seconds, reasons
         except BaseException:  # children in an unknown state are not kept
             for proc, _ in self._children.values():
                 proc.kill()
             _end_children(self._children)
             raise
 
-    def _write(self, slot: int, req: EvaluationRequest) -> None:
-        """Send ``req`` to the slot's child, first replacing a missing or dead one."""
+    def _write(self, slot: int, rid: int, params: np.ndarray) -> None:
+        """Send request ``rid`` for the point ``params`` to the slot's child, first replacing a missing or dead one."""
         if slot in self._children and self._children[slot][0].poll() is not None:
             _end_children({slot: self._children.pop(slot)})
         if slot not in self._children:
@@ -292,7 +290,7 @@ class ExternalEvaluator:
             except BaseException:
                 stderr.close()
                 raise
-        payload = {"id": int(req.id), "params": {name: float(v) for name, v in zip(self.space.names, req.params)}}
+        payload = {"id": rid, "params": {name: float(v) for name, v in zip(self.space.names, params)}}
         stdin = self._children[slot][0].stdin
         stdin.write((json.dumps(payload) + "\n").encode("utf-8"))
         stdin.flush()
@@ -313,8 +311,8 @@ class ExternalEvaluator:
             raise IOError(f"objective {objective!r} is not a finite JSON number")
         return float(objective)
 
-    def _fail(self, slot: int, req: EvaluationRequest, exc: Exception) -> EvaluationFailure:
-        """``req``'s failure; the slot's child is killed, and the tail of its stderr ends the reason."""
+    def _fail(self, slot: int, exc: Exception) -> str:
+        """The reason a request failed; the slot's child is killed, and the tail of its stderr ends the reason."""
         reason = f"{type(exc).__name__}: {exc}"
         if slot in self._children:
             proc, stderr = self._children.pop(slot)
@@ -324,7 +322,7 @@ class ExternalEvaluator:
             tail = stderr.read().decode("utf-8", errors="replace").strip()
             reason += f"; solver stderr: {tail}" if tail else ""
             _end_children({slot: (proc, stderr)})
-        return EvaluationFailure(id=req.id, reason=reason)
+        return reason
 
 
 def _end_children(children: dict) -> None:
@@ -369,21 +367,27 @@ def _ready(fds, timeout: float) -> set:
     return {fd for fd, _ in poller.poll(timeout * 1000.0)}
 
 
-def evaluate_batch(evaluator, requests: Sequence[EvaluationRequest]) -> BatchOutcome:
-    """Evaluate a batch of requests through the evaluator's ``run_batch``.
+def _run_checked(evaluator, ids: Sequence[int], ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """``evaluator.run_batch(ids, ws)``, refused unless every row came back as exactly one objective or one failure."""
+    objectives, seconds, reasons = evaluator.run_batch(ids, ws)
+    failed = np.flatnonzero(np.isnan(objectives)).tolist()
+    if not len(objectives) == len(seconds) == len(ids) or sorted(reasons) != failed:
+        raise ConfigError("evaluator protocol violation: a row did not come back as one objective or one failure")
+    return objectives, seconds, reasons
 
-    Every request must come back as exactly one result or one failure.
-    Results carry their request ids and come back sorted by id, so the
-    outcome is independent of parallelism and reply order for any
+
+def evaluate_batch(evaluator, ids: Sequence[int], ws: np.ndarray) -> BatchOutcome:
+    """Evaluate the rows of ``ws`` as requests ``ids``, checked by ``_run_checked``.
+
+    Results and failures carry their request ids and come back sorted by id,
+    so the outcome is independent of parallelism and reply order for any
     deterministic evaluator.
     """
-    if not requests:
+    if len(ids) == 0:
         return BatchOutcome(results=[], failures=[])
-    results, failures = evaluator.run_batch(requests)
-    seen = [r.id for r in results] + [f.id for f in failures]
-    if sorted(seen) != sorted(r.id for r in requests):
-        raise ConfigError("evaluator protocol violation: request and reply ids do not match up")
+    objectives, seconds, reasons = _run_checked(evaluator, ids, ws)
+    order = np.argsort(ids, kind="stable").tolist()
     return BatchOutcome(
-        results=sorted(results, key=lambda r: r.id),
-        failures=sorted(failures, key=lambda f: f.id),
+        results=[EvaluationResult(int(ids[r]), float(objectives[r]), float(seconds[r])) for r in order if r not in reasons],
+        failures=[EvaluationFailure(int(ids[r]), reasons[r]) for r in order if r in reasons],
     )

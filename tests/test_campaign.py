@@ -308,8 +308,8 @@ def test_refit_of_an_uncommitted_attempt_is_not_loaded(tmp_path, monkeypatch):
             run_iteration(state, 20)
     state = load_state(tmp_path / "r")
     with monkeypatch.context() as m:
-        m.setattr(campaign, "evaluate_batch", lambda evaluator, requests, **kw: BatchOutcome(
-            [], [EvaluationFailure(r.id, "solver crashed") for r in requests]))
+        m.setattr(campaign, "evaluate_batch", lambda evaluator, ids, ws: BatchOutcome(
+            [], [EvaluationFailure(i, "solver crashed") for i in ids]))
         run_iteration(state, 20)
     assert not any((tmp_path / "r" / "iter_001" / name).exists() for name in ("model.json", "weights.tsv"))
     _assert_loads_as_in_memory(tmp_path / "r", state)

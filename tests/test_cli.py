@@ -12,11 +12,12 @@ import pytest
 
 from contextlib import contextmanager
 
-from adastrat import cli
+from adastrat import cli, evaluators
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
 from adastrat.config import build_evaluator, load_config
 from adastrat.estimator import confidence_interval, stratified_variance
+from adastrat.evaluators import oracle_probability
 from adastrat.rng import substream
 from adastrat.space import DEFAULT_SPACE, sample_uniform
 
@@ -416,8 +417,17 @@ def test_compare_mc_batches_print_the_one_shot_result(config_path, capsys):
     assert printed == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+def test_compare_mc_counts_what_the_oracle_counts_on_its_substream(config_path, capsys):
+    n = cli.MC_BATCH + 4_465  # past one batch, and a multiple of neither the batch nor the slice
+    assert main(["compare-mc", "--config", str(config_path), "--n", str(n), "--seed", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    config = load_config(config_path)
+    p, _ = oracle_probability(build_evaluator(config), config.critical_value, n, substream(5, "compare-mc"))
+    assert (doc["n"], doc["failures"], doc["probability"]) == (n, 0, p)
+
+
 def test_compare_mc_numbers_its_requests_across_batches(tmp_path, monkeypatch, capsys):
-    # the garbage solver fails ids divisible by 3: of ids 0..9, four fail, wherever the batches split
+    # the garbage solver fails ids divisible by 3: of ids 0..9, four fail, wherever the batches and slices split
     doc = {
         "critical_value": 0.95,
         "evaluator": {"type": "external", "command": [sys.executable, str(FIXTURES / "flaky_evaluator.py"), "garbage"]},
@@ -428,6 +438,7 @@ def test_compare_mc_numbers_its_requests_across_batches(tmp_path, monkeypatch, c
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "MC_BATCH", 4)
+    monkeypatch.setattr(evaluators, "_MC_SLICE", 3)
     assert main(["compare-mc", "--config", str(cfg), "--n", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["n"], out["failures"]) == (6, 4)
@@ -441,7 +452,7 @@ def test_compare_mc_holds_one_batch_at_a_time(config_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 640 * cli.MC_BATCH  # one batch of requests and results takes about 500 B a draw
+    assert peak < 1.5 * cli.MC_BATCH * DEFAULT_SPACE.dim * 8  # the one 3 MiB buffer of draws
 
 
 def test_oracle_subcommand(config_path, capsys):

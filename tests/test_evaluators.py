@@ -16,7 +16,6 @@ import pytest
 
 from adastrat.errors import BoundsError, ConfigError
 from adastrat.evaluators import (
-    EvaluationRequest,
     ExternalEvaluator,
     SyntheticObjective,
     _wait,
@@ -71,8 +70,7 @@ def test_noise_is_bounded_deterministic_and_seed_keyed():
     assert np.abs(noisy - base).max() <= 0.05 + 1e-15
     assert (noisy != other).any()
     # the batch interface and the vector closed form agree exactly
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    out = evaluate_batch(SyntheticObjective(noise_scale=0.05, seed=3), reqs)
+    out = evaluate_batch(SyntheticObjective(noise_scale=0.05, seed=3), range(len(ws)), ws)
     assert [r.objective for r in out.results] == noisy.tolist()
 
 
@@ -127,13 +125,39 @@ def test_oracle_reproduces_the_frozen_calibration_truth(calibration):
 
 def test_evaluate_batch_empty_and_parallel_determinism():
     obj = SyntheticObjective(noise_scale=0.02, seed=1)
-    assert evaluate_batch(obj, []).results == []
+    assert evaluate_batch(obj, [], np.empty((0, DEFAULT_SPACE.dim))).results == []
     ws = sample_uniform(DEFAULT_SPACE, substream(3, "batch"), 10)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
-    forward = evaluate_batch(obj, reqs)
-    backward = evaluate_batch(obj, reqs[::-1])
+    ids = np.arange(10)
+    forward = evaluate_batch(obj, ids, ws)
+    backward = evaluate_batch(obj, ids[::-1], ws[::-1])
     assert [r.objective for r in forward.results] == [r.objective for r in backward.results]
     assert [r.id for r in forward.results] == list(range(10))
+
+
+class _Replies:
+    """An evaluator whose ``run_batch`` returns fixed objectives and failure reasons."""
+
+    space = DEFAULT_SPACE
+
+    def __init__(self, objectives, reasons):
+        self.objectives, self.reasons = np.array(objectives, dtype=float), reasons
+
+    def run_batch(self, ids, ws):
+        return self.objectives, np.zeros(len(self.objectives)), self.reasons
+
+
+@pytest.mark.parametrize("objectives, reasons", [
+    ([0.1, np.nan], {}),  # a failed row without a reason
+    ([0.1, 0.2], {1: "crashed"}),  # a reason for a row with an objective
+    ([0.1], {}),  # a row missing
+])
+def test_evaluate_batch_refuses_a_row_without_exactly_one_objective_or_failure(objectives, reasons):
+    ws = sample_uniform(DEFAULT_SPACE, substream(3, "protocol"), 2)
+    with pytest.raises(ConfigError, match="protocol violation"):
+        evaluate_batch(_Replies(objectives, reasons), [5, 6], ws)
+    out = evaluate_batch(_Replies([np.nan, 0.2], {0: "crashed"}), [5, 6], ws)
+    assert [(f.id, f.reason) for f in out.failures] == [(5, "crashed")]
+    assert [(r.id, r.objective) for r in out.results] == [(6, 0.2)]
 
 
 def _external(mode=None, timeout=20.0, parallelism=1):
@@ -144,16 +168,15 @@ def _external(mode=None, timeout=20.0, parallelism=1):
 
 
 def _requests(n, key):
-    ws = sample_uniform(DEFAULT_SPACE, substream(10, key), n)
-    return [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
+    """Request ids 0 to n - 1 and their points."""
+    return np.arange(n), sample_uniform(DEFAULT_SPACE, substream(10, key), n)
 
 
 def test_external_echo_script_matches_direct_computation():
     # the script replies with the plain sum of the parameter values
     ws = sample_uniform(DEFAULT_SPACE, substream(4, "echo"), 12)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("none", parallelism=3) as evaluator:
-        out = evaluate_batch(evaluator, reqs)
+        out = evaluate_batch(evaluator, range(len(ws)), ws)
     assert not out.failures
     got = np.array([r.objective for r in out.results])
     np.testing.assert_allclose(got, ws.sum(axis=1), rtol=0, atol=1e-12)
@@ -161,38 +184,34 @@ def test_external_echo_script_matches_direct_computation():
 
 def test_external_multiset_independent_of_parallelism():
     ws = sample_uniform(DEFAULT_SPACE, substream(5, "multi"), 9)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("none") as evaluator:
-        seq = evaluate_batch(evaluator, reqs)
+        seq = evaluate_batch(evaluator, range(len(ws)), ws)
     with _external("none", parallelism=4) as evaluator:
-        par = evaluate_batch(evaluator, reqs)
+        par = evaluate_batch(evaluator, range(len(ws)), ws)
     assert [(r.id, r.objective) for r in seq.results] == [(r.id, r.objective) for r in par.results]
 
 
 def test_external_garbage_replies_fail_only_their_requests():
     ws = sample_uniform(DEFAULT_SPACE, substream(6, "garbage"), 9)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     for parallelism in (1, 2):
         with _external("garbage", parallelism=parallelism) as evaluator:
-            out = evaluate_batch(evaluator, reqs)
+            out = evaluate_batch(evaluator, range(len(ws)), ws)
         assert sorted(f.id for f in out.failures) == [0, 3, 6]
         assert sorted(r.id for r in out.results) == [1, 2, 4, 5, 7, 8]
 
 
 def test_external_crash_restarts_and_continues():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "crash"), 6)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("crash") as evaluator:
-        out = evaluate_batch(evaluator, reqs)
+        out = evaluate_batch(evaluator, range(len(ws)), ws)
     assert len(out.failures) >= 1
     assert len(out.results) + len(out.failures) == 6
 
 
 def test_external_failure_reason_carries_the_stderr_tail():
     ws = sample_uniform(DEFAULT_SPACE, substream(7, "stderr"), 4)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     with _external("stderr") as evaluator:
-        out = evaluate_batch(evaluator, reqs)
+        out = evaluate_batch(evaluator, range(len(ws)), ws)
     # each child answers one request and dies on the next: requests 1 and 3 fail
     assert [f.id for f in out.failures] == [1, 3]
     for f in out.failures:
@@ -202,17 +221,16 @@ def test_external_failure_reason_carries_the_stderr_tail():
         assert len(tail.encode()) <= 2048 and tail.startswith("x")
     # a child that wrote nothing to stderr adds nothing
     with _external("garbage") as evaluator:
-        out = evaluate_batch(evaluator, reqs[:1])
+        out = evaluate_batch(evaluator, range(1), ws[:1])
     assert out.failures[0].reason == "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
 
 
 def test_external_timeout_reported_per_request():
     ws = sample_uniform(DEFAULT_SPACE, substream(8, "hang"), 3)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     for parallelism in (1, 2):
         with _external("hang", timeout=1.0, parallelism=parallelism) as evaluator:
             started = time.monotonic()
-            out = evaluate_batch(evaluator, reqs)
+            out = evaluate_batch(evaluator, range(len(ws)), ws)
             elapsed = time.monotonic() - started
         assert sorted(f.id for f in out.failures) == [0, 2]
         assert "Timeout" in out.failures[0].reason
@@ -224,7 +242,7 @@ def test_external_timeout_reported_per_request():
 def test_external_timeout_past_the_longest_select_wait_serves_a_batch():
     # 1e10 s is past what one poll call accepts (2**31 ms)
     with _external("none", timeout=1e10, parallelism=2) as evaluator:
-        out = evaluate_batch(evaluator, _requests(4, "long"))
+        out = evaluate_batch(evaluator, *_requests(4, "long"))
     assert not out.failures
     assert [r.id for r in out.results] == [0, 1, 2, 3]
 
@@ -237,7 +255,7 @@ def test_external_reply_nested_too_deeply_fails_only_its_request(tmp_path, spawn
                       "    rid = json.loads(line)['id']\n"
                       "    print('[' * 100000 if rid == 1 else json.dumps({'id': rid, 'objective': rid}), flush=True)\n")
     with closing(ExternalEvaluator(command=[sys.executable, str(solver)])) as evaluator:
-        out = evaluate_batch(evaluator, _requests(4, "deep"))
+        out = evaluate_batch(evaluator, *_requests(4, "deep"))
     assert [f.id for f in out.failures] == [1]
     assert out.failures[0].reason.startswith("RecursionError: ")
     assert [r.id for r in out.results] == [0, 2, 3]
@@ -255,7 +273,7 @@ def test_external_children_are_served_past_fd_1024():
             pipes.append(os.pipe())
         command = [sys.executable, str(FIXTURES / "external_objective.py")]
         with closing(ExternalEvaluator(command=command, parallelism=2)) as evaluator:
-            out = evaluate_batch(evaluator, _requests(4, "fds"))
+            out = evaluate_batch(evaluator, *_requests(4, "fds"))
         assert not out.failures and [r.id for r in out.results] == [0, 1, 2, 3]
     finally:
         for fd in itertools.chain.from_iterable(pipes):
@@ -265,10 +283,9 @@ def test_external_children_are_served_past_fd_1024():
 
 def test_external_wrong_id_detected():
     ws = sample_uniform(DEFAULT_SPACE, substream(9, "wrong"), 6)
-    reqs = [EvaluationRequest(id=i, params=w) for i, w in enumerate(ws)]
     for parallelism in (1, 2):
         with _external("wrong-id", parallelism=parallelism) as evaluator:
-            out = evaluate_batch(evaluator, reqs)
+            out = evaluate_batch(evaluator, range(len(ws)), ws)
         assert sorted(f.id for f in out.failures) == [0, 5]
 
 
@@ -278,20 +295,20 @@ def test_external_wrong_id_detected():
     ("bad-types", [1, 4, 7, 10]),  # id true, objective "…", […] and true
 ])
 def test_external_malformed_replies_fail_only_their_requests(mode, bad):
-    reqs = _requests(12, mode)
+    ids, ws = _requests(12, mode)
     for parallelism in (1, 2):
         with _external(mode, parallelism=parallelism) as evaluator:
-            out = evaluate_batch(evaluator, reqs)
+            out = evaluate_batch(evaluator, ids, ws)
         assert [f.id for f in out.failures] == bad
         assert [r.id for r in out.results] == [i for i in range(12) if i not in bad]
         assert all(f.reason.startswith("OSError: ") for f in out.failures)
 
 
 def test_external_children_serve_every_batch(spawned):
-    reqs = _requests(10, "batches")
+    ids, ws = _requests(10, "batches")
     with _external("none", parallelism=2) as evaluator:
-        first = evaluate_batch(evaluator, reqs[:5])
-        second = evaluate_batch(evaluator, reqs[5:])
+        first = evaluate_batch(evaluator, ids[:5], ws[:5])
+        second = evaluate_batch(evaluator, ids[5:], ws[5:])
         assert len(spawned) == 2 and all(p.poll() is None for p in spawned)
     assert not first.failures and not second.failures
     assert [r.id for r in first.results + second.results] == list(range(10))
@@ -299,18 +316,18 @@ def test_external_children_serve_every_batch(spawned):
 
 
 def test_external_dead_child_is_replaced_before_the_next_batch(spawned):
-    reqs = _requests(8, "replaced")
+    ids, ws = _requests(8, "replaced")
     with _external("none", parallelism=2) as evaluator:
-        evaluate_batch(evaluator, reqs[:4])
+        evaluate_batch(evaluator, ids[:4], ws[:4])
         spawned[0].kill()
         spawned[0].wait(timeout=10)
-        out = evaluate_batch(evaluator, reqs[4:])
+        out = evaluate_batch(evaluator, ids[4:], ws[4:])
     assert not out.failures and [r.id for r in out.results] == [4, 5, 6, 7]
     assert len(spawned) == 3
 
 
 def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch):
-    reqs = _requests(4, "escape")
+    ids, ws = _requests(4, "escape")
 
     def interrupted(*args):
         raise KeyboardInterrupt
@@ -318,19 +335,19 @@ def test_external_child_is_killed_when_an_exception_escapes(spawned, monkeypatch
     for parallelism in (1, 2):
         spawned.clear()
         with _external("none", parallelism=parallelism) as evaluator:
-            evaluate_batch(evaluator, reqs[:2])
+            evaluate_batch(evaluator, ids[:2], ws[:2])
             with monkeypatch.context() as m:
                 m.setattr(ExternalEvaluator, "_parse_reply", interrupted)
                 with pytest.raises(KeyboardInterrupt):
-                    evaluate_batch(evaluator, reqs[2:3])
+                    evaluate_batch(evaluator, ids[2:3], ws[2:3])
             assert spawned[0].poll() is not None
-            out = evaluate_batch(evaluator, reqs[3:])
+            out = evaluate_batch(evaluator, ids[3:], ws[3:])
         # the slots' children ended together; the last request started one more
         assert not out.failures and len(spawned) == parallelism + 1
 
 
 def test_external_interrupt_ends_every_child_at_once(spawned):
-    reqs = _requests(8, "interrupt")
+    ids, ws = _requests(8, "interrupt")
     ctrl_c = threading.Timer(0.5, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
     # the hang fixture never answers an even id: two per child, each 5 s until its timeout
     with _external("hang", timeout=5.0, parallelism=2) as evaluator:
@@ -338,19 +355,19 @@ def test_external_interrupt_ends_every_child_at_once(spawned):
         ctrl_c.start()
         try:
             with pytest.raises(KeyboardInterrupt):
-                evaluate_batch(evaluator, reqs[0::2])
+                evaluate_batch(evaluator, ids[0::2], ws[0::2])
         finally:
             ctrl_c.cancel()
         assert time.monotonic() - started < 2.0
         assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
-        out = evaluate_batch(evaluator, reqs[1::2])
+        out = evaluate_batch(evaluator, ids[1::2], ws[1::2])
     assert not out.failures and [r.id for r in out.results] == [1, 3, 5, 7]
 
 
 def test_external_children_of_a_dropped_evaluator_are_ended(spawned):
     evaluator = ExternalEvaluator(command=[sys.executable, str(FIXTURES / "flaky_evaluator.py"), "none"],
                                   parallelism=2)
-    evaluate_batch(evaluator, _requests(4, "dropped"))
+    evaluate_batch(evaluator, *_requests(4, "dropped"))
     assert all(p.poll() is None for p in spawned)
     del evaluator
     gc.collect()
@@ -385,13 +402,13 @@ def test_external_children_get_the_run_dir(tmp_path, monkeypatch):
              "    print(json.dumps({'id': rid, 'objective': len(os.environ.get('ADASTRAT_RUN_DIR', ''))}), flush=True)")
     for run_dir, expected in ((str(tmp_path), len(str(tmp_path))), (None, 0)):
         with closing(ExternalEvaluator(command=[sys.executable, "-c", reply], parallelism=2, run_dir=run_dir)) as ev:
-            out = evaluate_batch(ev, _requests(4, "run-dir"))
+            out = evaluate_batch(ev, *_requests(4, "run-dir"))
         assert [r.objective for r in out.results] == [expected] * 4
 
 
 def test_external_missing_command_fails_each_request():
     with closing(ExternalEvaluator(command=[str(FIXTURES / "no-such-solver")], parallelism=2)) as evaluator:
-        out = evaluate_batch(evaluator, _requests(3, "missing"))
+        out = evaluate_batch(evaluator, *_requests(3, "missing"))
     assert not out.results and [f.id for f in out.failures] == [0, 1, 2]
     assert all(f.reason.startswith("FileNotFoundError: ") for f in out.failures)
     gc.collect()  # a stderr file left open warns here, and the warning fails the test
