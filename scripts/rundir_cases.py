@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write ten fixed run directories and three brute-force outputs for comparing two checkouts byte for byte.
+"""Write ten fixed run directories, three brute-force outputs and three reports to compare two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
@@ -47,6 +47,16 @@ brute-force loop, each at a fixed ``--n`` and seed:
   3,000 draws at seed 2 through two children of the fixture solver;
 - ``oracle-default.json``: ``oracle`` on ``default``'s config, 3*10^6
   draws at seed 7.
+
+Last it writes the stdout of ``adastrat report`` on three of the run
+directories, each of which a load rebuilds differently; the script checks
+that each equals that directory's ``report.txt``:
+
+- ``report-gap.txt``: ``gap``, whose committed pool is read back across the
+  zero-budget iteration;
+- ``report-multi-iterate.txt``: ``multi-iterate``, whose committed pool is
+  read back;
+- ``report-exact.txt``: ``exact``, whose exact weights are recomputed.
 
 Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
@@ -112,11 +122,12 @@ CASES = {
     "default": RunConfig(**REFERENCE, seed=7),
 }
 
-#: File in DIR -> the ``adastrat`` command whose stdout it holds; ``--config`` is relative to DIR.
+#: File in DIR -> the ``adastrat`` command whose stdout it holds; ``--config`` and ``--run-dir`` are relative to DIR.
 CLI_OUTPUTS = {
     "compare-mc-default.json": ["compare-mc", "--config", "default/config.json", "--n", "70001", "--seed", "5"],
     "compare-mc-external.json": ["compare-mc", "--config", "external/config.json", "--n", "3000", "--seed", "2"],
     "oracle-default.json": ["oracle", "--config", "default/config.json", "--n", "3000000", "--seed", "7"],
+    **{f"report-{name}.txt": ["report", "--run-dir", name] for name in ("gap", "multi-iterate", "exact")},
 }
 
 
@@ -142,11 +153,13 @@ def main() -> int:
                 run_campaign(config, run_dir)
         print(f"wrote {run_dir}")
     for name, argv in CLI_OUTPUTS.items():
-        argv = [str(args.out / a) if a.endswith("config.json") else a for a in argv]
+        argv = [str(args.out / a) if flag in ("--config", "--run-dir") else a for flag, a in zip(["", *argv], argv)]
         with open(args.out / name, "x") as out, redirect_stdout(out):
             status = adastrat(argv)
         if status != 0:
             parser.error(f"adastrat {' '.join(argv)} exited {status}")
+        if argv[0] == "report" and (args.out / name).read_text() != Path(argv[2], "report.txt").read_text():
+            parser.error(f"{args.out / name} differs from the report.txt of {argv[2]}")
         print(f"wrote {args.out / name}")
     return 0
 

@@ -11,8 +11,9 @@ Two explicit modes, never mixed silently:
   far, rebuilds the strata for the new residual scale, re-weighs them, and
   re-bins everything.
 
-Stratum weights are exact unless the config names a ``pool_size``; then each
-refit estimates them from its own pool, and a load reads them back.
+One call, ``_design``, makes the model, strata and stratum weights of every
+refit and load. Weights are exact unless the config names a ``pool_size``; then
+each refit draws its own pool, and a load reads its weights back at that size.
 
 Randomness is drawn from substreams named (purpose, iteration), so resuming
 a persisted run between iterations reproduces the uninterrupted run exactly.
@@ -29,7 +30,7 @@ import numpy as np
 from . import persist
 from .allocation import AllocationPlan, plan_allocation, select_candidates
 from .conditional import ConditionalTable, build_conditional_table, observe_p2
-from .config import RunConfig, build_evaluator, config_from_dict
+from .config import RunConfig, build_evaluator, load_config
 from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate, hard_tail_p2
 from .evaluators import FAILURE_ABORT_FRACTION, evaluate_batch
@@ -84,28 +85,29 @@ def _last_refit(state: RunState) -> int:
     return max((s.iteration for s in state.samples), default=0) if state.config.mode == "multi" else 0
 
 
-def _fit_and_stratify(state: RunState, k: int) -> None:
-    """Fit the surrogate on the samples of iterations up to ``k``, lay the strata out around the
-    critical value and, with no pool configured, weigh them exactly."""
-    cfg = state.config
-    state.model = fit(cfg.space, *_arrays([s for s in state.samples if s.iteration <= k]))
+def _design(
+    config: RunConfig, samples: list[SampleRecord], k: int, committed: Optional[Path] = None
+) -> tuple[SurrogateModel, StratumSet, StratumWeights]:
+    """The design of iteration ``k``'s refit: the surrogate fitted on the samples of iterations up
+    to ``k``, the strata laid out around the critical value, and their weights. These are exact
+    with no pool configured; else a load passes ``committed``, the refit's ``weights.tsv``, and
+    they are read back, because a large pool is costly to redraw (the last refit's file, not a
+    newer one an uncommitted attempt left); else they are drawn from the ("pool", k) substream."""
+    model = fit(config.space, *_arrays([s for s in samples if s.iteration <= k]))
     try:
-        state.strata = build_strata(
-            cfg.critical_value, state.model.sigma, cfg.inner_strata, halfwidth_sigmas=cfg.band_halfwidth_sigmas
+        strata = build_strata(
+            config.critical_value, model.sigma, config.inner_strata, halfwidth_sigmas=config.band_halfwidth_sigmas
         )
     except DegenerateModelError:
         # perfect fit: the band collapses, split once at the critical value
-        state.strata = degenerate_split(cfg.critical_value)
-    if cfg.pool_size is None:
-        state.weights = exact_weights(state.strata, state.model)
-
-
-def _refit(state: RunState, k: int) -> None:
-    """The refit of iteration ``k``: model, strata and weights, from its own pool if one is configured."""
-    cfg = state.config
-    _fit_and_stratify(state, k)
-    if cfg.pool_size is not None:
-        state.weights = estimate_weights(state.strata, state.model, cfg.pool_size, substream(cfg.seed, "pool", k))
+        strata = degenerate_split(config.critical_value)
+    if config.pool_size is None:
+        weights = exact_weights(strata, model)
+    elif committed is not None:
+        weights = _read(persist.read_weights, committed, strata, config.pool_size)
+    else:
+        weights = estimate_weights(strata, model, config.pool_size, substream(config.seed, "pool", k))
+    return model, strata, weights
 
 
 def _estimate(state: RunState) -> tuple[RareEventEstimate, np.ndarray, np.ndarray]:
@@ -197,7 +199,7 @@ def _preliminary(state: RunState) -> RunState:
     else:
         params = sample_uniform(config.space, rng, config.preliminary_count)
     _evaluate_new(state, params, iteration=0)
-    _refit(state, 0)
+    state.model, state.strata, state.weights = _design(config, state.samples, 0)
     _persist_iteration(state)
     return state
 
@@ -222,7 +224,7 @@ def run_iteration(state: RunState, budget: int) -> RunState:
         candidates = select_candidates(state.strata, state.model, plan.additional, substream(cfg.seed, "candidates", k))
         _evaluate_new(state, candidates, iteration=k)
         if _last_refit(state) == k:
-            _refit(state, k)
+            state.model, state.strata, state.weights = _design(cfg, state.samples, k)
     state.iteration = k
     est, p2, counts = _estimate(state)
     state.estimates.append(est)
@@ -289,17 +291,14 @@ def load_state(run_dir: Path) -> RunState:
     for key in ("iterations_completed", "next_id", "samples"):
         if type(doc.get(key)) is not int or doc[key] < 0:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
-    config = _read(lambda path: config_from_dict(persist.read_doc(path)), run_dir / "config.json")
+    config = load_config(run_dir / "config.json")
     state = RunState(config=config, run_dir=run_dir)
     state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
     state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration,
                           state.next_id)
-    # Everything is recomputed but pool weights: their pool is costly, so they are read back,
-    # from the last refit (not a newer weights.tsv an uncommitted attempt left).
     k = _last_refit(state)
-    _fit_and_stratify(state, k)
-    if config.pool_size is not None:
-        state.weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", state.strata)
+    committed = persist.iter_dir(run_dir, k) / "weights.tsv"
+    state.model, state.strata, state.weights = _design(config, state.samples, k, committed)
     if state.iteration > 0:
         state.estimates.append(_estimate(state)[0])
     return state

@@ -33,7 +33,7 @@ from .campaign import (
     run_iteration,
     write_report,
 )
-from .config import build_evaluator, load_config, with_overrides
+from .config import MODES, build_evaluator, load_config, with_overrides
 from .errors import AllocationError, ConfigError, EvaluationThresholdError
 from .estimator import confidence_interval, stratified_variance
 from .evaluators import MC_BATCH, count_exceedances, oracle_probability
@@ -45,11 +45,11 @@ EXIT_EVALUATOR = 3
 EXIT_ALLOCATION = 4
 
 
-def _add_common(p: argparse.ArgumentParser, *, config_required: bool) -> None:
-    p.add_argument("--config", type=Path, required=config_required, help="path to the JSON run configuration")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", type=Path, required=True, help="path to the JSON run configuration")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--parallelism", type=int, default=None, help="override evaluator parallelism")
-    p.add_argument("--mode", choices=("single", "multi"), default=None, help="override the campaign mode")
+    p.add_argument("--mode", choices=MODES, default=None, help="override the campaign mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="validate a config and create a fresh run directory")
-    _add_common(p, config_required=True)
+    _add_common(p)
     p.add_argument("--run-dir", type=Path, required=True)
 
     p = sub.add_parser("run", help="run the full campaign (resumes an interrupted one)")
-    _add_common(p, config_required=True)
+    _add_common(p)
     p.add_argument("--run-dir", type=Path, required=True)
 
     p = sub.add_parser("iterate", help="run one more adaptive iteration on an existing run")
@@ -72,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", type=Path, required=True)
 
     p = sub.add_parser("compare-mc", help="naive Monte Carlo baseline on the configured evaluator")
-    _add_common(p, config_required=True)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True, help="number of direct evaluations")
 
     p = sub.add_parser("oracle", help="brute-force exceedance probability (synthetic evaluators only)")
-    _add_common(p, config_required=True)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True, help="number of oracle draws")
     return parser
 

@@ -17,11 +17,11 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
+from . import persist
 from .allocation import MIN_POOL_HITS, PER_STRATUM_CAP
 from .conditional import N_CONFIDENT
 from .errors import ConfigError
 from .evaluators import DEFAULT_TIMEOUT, FAILURE_ABORT_FRACTION, ExternalEvaluator, SyntheticObjective
-from .persist import read_doc
 from .space import DEFAULT_SPACE, ParameterDef, ParameterSpace, product_rows
 from .strata import EXACT_MAX_DIM
 
@@ -188,11 +188,11 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The config in the JSON file ``path``, ``--config`` or a run dir's ``config.json``; a refusal names it."""
     try:
-        doc = read_doc(Path(path))
-    except (OSError, ValueError) as exc:
+        return config_from_dict(persist.read_doc(Path(path)))
+    except (OSError, ValueError, ConfigError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return config_from_dict(doc)
 
 
 def build_evaluator(config: RunConfig, run_dir: Optional[Path] = None):

@@ -104,14 +104,7 @@ class RareEventEstimate:
 
     def summary(self) -> dict:
         """The scalar fields, as ``estimate.json`` holds them."""
-        return {
-            "probability": self.probability,
-            "biased_variance": self.biased_variance,
-            "unbiased_variance": self.unbiased_variance,
-            "ci95": [self.ci95[0], self.ci95[1]],
-            "mc_equivalent": self.mc_equivalent,
-            "p1_standard_error": self.p1_standard_error,
-        }
+        return {**vars(self), "ci95": list(self.ci95)}
 
 
 def build_estimate(weights: StratumWeights, p2: np.ndarray, counts: np.ndarray) -> RareEventEstimate:

@@ -6,10 +6,11 @@ table of measured samples. A load reads only ``config.json``, ``state.json``
 and the committed rows, and recomputes the model, strata, exact weights and
 estimate from the samples. Where the config names a ``pool_size``, it also
 reads the last refit's ``weights.tsv`` (a large pool to redo), taken only if
-its ``lower``/``upper`` edges are exactly those of the recomputed strata and
-its ``p1`` is whole counts over the pool size. ``model.json``, ``estimate.*``,
-``conditional.tsv``, ``allocation.tsv`` and an exact ``weights.tsv`` (no
-``# pool_size`` line, variance 0) are outputs only. Loading writes nothing;
+its ``# pool_size`` line names the config's pool size, its ``lower``/``upper``
+edges are exactly those of the recomputed strata and its ``p1`` is whole
+counts over that size. ``model.json``, ``estimate.*``, ``conditional.tsv``,
+``allocation.tsv`` and an exact ``weights.tsv`` (no ``# pool_size`` line,
+variance 0) are outputs only. Loading writes nothing;
 the next append cuts off any rows past the commit. Every other file is
 replaced atomically (a uniquely named temp file, then a rename).
 Tables are tab-separated text, the derived ones written column by column;
@@ -90,7 +91,10 @@ def write_doc(path: Path, doc: dict) -> None:
 
 
 def read_doc(path: Path) -> dict:
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError("it is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("must hold a JSON object")
     return doc
@@ -169,11 +173,14 @@ def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weigh
     write_table(dir_path / "weights.tsv", dict(zip(_WEIGHT_COLUMNS, cells, strict=True)), head=head)
 
 
-def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
-    """The pool weights of ``strata``; a table whose ``lower``/``upper`` edges are not exactly
-    theirs, or whose ``p1`` is not the counts of its pool divided by ``pool_size``, is
-    refused. The ``variance`` column is for the reader."""
+def read_weights(path: Path, strata: StratumSet, pool_size: int) -> StratumWeights:
+    """The weights of ``strata`` from a pool of ``pool_size`` draws, the config's. A table whose
+    first line names another pool size, whose ``lower``/``upper`` edges are not exactly those of
+    ``strata``, or whose ``p1`` is not stratum counts divided by ``pool_size``, is refused. The
+    ``variance`` column is for the reader."""
     head, cells = read_table(path, _WEIGHT_COLUMNS, head=1)
+    if head != [f"# pool_size\t{pool_size}"]:
+        raise ValueError(f"its first line does not name the pool_size {pool_size} of config.json")
     rows = np.array([[float(c) for c in row[1:4]] for row in cells]).reshape(-1, 3)
     bounds = strata.bounds()
     if rows.shape[0] != strata.n_strata:
@@ -181,9 +188,9 @@ def read_weights(path: Path, strata: StratumSet) -> StratumWeights:
     if (rows[:, 0] != bounds[:-1]).any() or (rows[:, 1] != bounds[1:]).any():
         raise ValueError("its lower/upper edges differ from the strata recomputed from the samples")
     # a contiguous p1, as the campaign's was: numpy sums a strided one in another order
-    p1, pool_size = np.ascontiguousarray(rows[:, 2]), int(head[0].removeprefix("# pool_size\t"))
+    p1 = np.ascontiguousarray(rows[:, 2])
     hits = np.rint(p1 * pool_size)
-    if pool_size < 1 or (hits < 0).any() or hits.sum() != pool_size or (hits / pool_size != p1).any():
+    if (hits < 0).any() or hits.sum() != pool_size or (hits / pool_size != p1).any():
         raise ValueError(f"its p1 column is not stratum counts divided by its pool_size {pool_size}")
     return StratumWeights(p1=p1, pool_size=pool_size)
 

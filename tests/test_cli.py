@@ -23,6 +23,8 @@ from adastrat.space import DEFAULT_SPACE, sample_uniform
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SYNTH = {"type": "synthetic", "kind": "quadratic", "noise_scale": 0.025, "seed": 0}
+#: Nesting depth of a JSON document too deep for ``json.loads`` to parse.
+DEEP = 200_000
 
 
 @pytest.fixture()
@@ -46,7 +48,7 @@ def test_readme_names_exactly_the_common_flags():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     sentence = readme.partition("Common flags")[2].partition("Exit codes")[0]
     parser = argparse.ArgumentParser(add_help=False)
-    cli._add_common(parser, config_required=False)
+    cli._add_common(parser)
     assert set(re.findall(r"`(--[a-z-]+)", sentence)) == {a.option_strings[0] for a in parser._actions}
 
 
@@ -135,7 +137,8 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
     # a config file that is missing, not JSON or not a JSON object is refused by name
     (tmp_path / "truncated.json").write_text('{"seed": ')
     (tmp_path / "list.json").write_text("[]")
-    for name in ("missing.json", "truncated.json", "list.json"):
+    (tmp_path / "deep.json").write_text("[" * DEEP + "]" * DEEP)
+    for name in ("missing.json", "truncated.json", "list.json", "deep.json"):
         assert main(["run", "--config", str(tmp_path / name), "--run-dir", str(tmp_path / "y")]) == 2
         assert f"cannot read config file {tmp_path / name}: " in capsys.readouterr().err
     # out-of-range numeric settings are refused before any evaluation is spent
@@ -251,13 +254,16 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
     for name in ("no-config", "bad-state", "no-counts", "text-count", "negative-count", "no-samples",
                  "no-weights", "other-weights", "short-weights", "bad-p1", "list-state", "list-config",
                  "pairs-config", "text-seed", "nan-objective", "inf-param", "outside-param", "extra-cell",
-                 "negative-iteration", "lower-iteration", "later-iteration", "renamed-p1", "extra-weights-cell"):
+                 "negative-iteration", "lower-iteration", "later-iteration", "renamed-p1", "extra-weights-cell",
+                 "deep-config", "deep-state"):
         shutil.copytree(older, tmp_path / name)
     (tmp_path / "no-config" / "config.json").unlink()
     (tmp_path / "bad-state" / "state.json").write_text('{"format": 2, "iterat')
     (tmp_path / "list-state" / "state.json").write_text("[]")
     (tmp_path / "list-config" / "config.json").write_text("[]")
     (tmp_path / "pairs-config" / "config.json").write_text('[["seed", 7]]')
+    for name in ("deep-config", "deep-state"):
+        (tmp_path / name / f"{name.removeprefix('deep-')}.json").write_text("[" * DEEP + "]" * DEEP)
     # the last refit's weights.tsv holds another refit's strata, or only some of its rows
     shutil.copy(older / "iter_001" / "weights.tsv", tmp_path / "other-weights" / "iter_002" / "weights.tsv")
     short = tmp_path / "short-weights" / "iter_002" / "weights.tsv"
@@ -306,7 +312,9 @@ def test_unloadable_run_dir_is_exit_code_2(tmp_path, config_path, capsys):
                       ("lower-iteration", "samples.tsv: its iteration column does not run from 0 up to at most 2"),
                       ("later-iteration", "samples.tsv: its iteration column does not run from 0 up to at most 2"),
                       ("renamed-p1", "iter_002/weights.tsv: its header is not ['stratum', 'lower', 'upper', 'p1',"),
-                      ("extra-weights-cell", "iter_002/weights.tsv: row 1 has 6 cells, not 5")):
+                      ("extra-weights-cell", "iter_002/weights.tsv: row 1 has 6 cells, not 5"),
+                      ("deep-config", "config.json: it is nested too deeply to parse"),
+                      ("deep-state", "state.json: it is nested too deeply to parse")):
         for command in ("iterate", "report"):
             assert main([command, "--run-dir", str(tmp_path / name)]) == 2, (name, command)
             assert why in capsys.readouterr().err
@@ -361,6 +369,34 @@ def test_sample_ids_that_repeat_or_reach_next_id_are_refused(tmp_path, config_pa
     skip = {"run.log"}
     assert ({p.relative_to(stopped): b for p, b in _tree(stopped).items() if p.name not in skip}
             == {p.relative_to(full): b for p, b in _tree(full).items() if p.name not in skip})
+
+
+def test_pool_size_is_read_from_config_json_alone(tmp_path, config_path, capsys):
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(full)]) == 0
+    run_preliminary(load_config(config_path), stopped)
+    assert main(["iterate", "--run-dir", str(stopped)]) == 0  # stopped after iteration 1's refit
+    # the last refit's weights.tsv names twice the configured pool size; its p1 column is still whole counts
+    doubled = tmp_path / "doubled"
+    shutil.copytree(stopped, doubled)
+    weights, pool_size = doubled / "iter_001" / "weights.tsv", load_config(config_path).pool_size
+    first, rest = weights.read_text().split("\n", 1)
+    assert first == f"# pool_size\t{pool_size}"
+    weights.write_text(f"# pool_size\t{2 * pool_size}\n{rest}")
+    before = _tree(doubled)
+    capsys.readouterr()
+    for argv in (["report", "--run-dir", str(doubled)], ["iterate", "--run-dir", str(doubled)],
+                 ["run", "--config", str(config_path), "--run-dir", str(doubled)]):
+        assert main(argv) == 2, argv[0]
+        assert f"{weights}: its first line does not name the pool_size {pool_size} of config.json" in (
+            capsys.readouterr().err)
+    assert _tree(doubled) == before
+    # the untouched copy resumes to what the uninterrupted campaign wrote
+    assert main(["run", "--config", str(config_path), "--run-dir", str(stopped)]) == 0
+    skip = {"run.log"}
+    assert ({p.relative_to(stopped): b for p, b in _tree(stopped).items() if p.name not in skip}
+            == {p.relative_to(full): b for p, b in _tree(full).items() if p.name not in skip})
+
 
 def test_resume_with_another_config_is_exit_code_2(tmp_path, config_path, capsys):
     run_dir = tmp_path / "r"
