@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Write ten fixed run directories, three brute-force outputs and three reports to compare two checkouts byte for byte.
+"""Write eleven fixed run directories, three brute-force outputs and four reports to compare two checkouts byte for byte.
 
     python scripts/rundir_cases.py --out DIR
 
 writes DIR/crit7, DIR/reference, DIR/ensemble, DIR/multi-iterate, DIR/external,
-DIR/product, DIR/stopped, DIR/gap, DIR/exact and DIR/default:
+DIR/product, DIR/stopped, DIR/gap, DIR/exact, DIR/default and DIR/linear:
 
 - ``crit7``: the acceptance criterion-7 config (multi, 40 + 20 + 10
   evaluations, 10^5 pool) at seed 13;
@@ -34,7 +34,10 @@ DIR/product, DIR/stopped, DIR/gap, DIR/exact and DIR/default:
   iteration is re-entered through ``load_state``, which recomputes them;
 - ``default``: the default config on the calibration objective (single,
   100 + 99 evaluations, 102 strata, exact weights, prune share 0) at seed 7,
-  whose candidate search draws the longest streams of all the cases.
+  whose candidate search draws the longest streams of all the cases;
+- ``linear``: the noise-free linear objective at critical value 0.6 (single,
+  20 + 0 evaluations, exact weights) at seed 3, whose perfect fit leaves no
+  residual scale, so its strata are the two-stratum split at 0.6.
 
 The other eight name a ``pool_size`` and run on the occupancy pool. Then it
 writes the stdout of three ``adastrat`` commands, which draw through the
@@ -48,7 +51,7 @@ brute-force loop, each at a fixed ``--n`` and seed:
 - ``oracle-default.json``: ``oracle`` on ``default``'s config, 3*10^6
   draws at seed 7.
 
-Last it writes the stdout of ``adastrat report`` on three of the run
+Last it writes the stdout of ``adastrat report`` on four of the run
 directories, each of which a load rebuilds differently; the script checks
 that each equals that directory's ``report.txt``:
 
@@ -56,7 +59,8 @@ that each equals that directory's ``report.txt``:
   zero-budget iteration;
 - ``report-multi-iterate.txt``: ``multi-iterate``, whose committed pool is
   read back;
-- ``report-exact.txt``: ``exact``, whose exact weights are recomputed.
+- ``report-exact.txt``: ``exact``, whose exact weights are recomputed;
+- ``report-linear.txt``: ``linear``, whose split is laid out again.
 
 Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
 timing-free files of equal code and equal seeds must not differ.
@@ -120,6 +124,10 @@ CASES = {
         band_halfwidth_sigmas=20.0, mode="multi", seed=6,
     ),
     "default": RunConfig(**REFERENCE, seed=7),
+    "linear": RunConfig(
+        critical_value=0.6, evaluator={**REFERENCE["evaluator"], "kind": "linear", "noise_scale": 0.0},
+        preliminary_count=20, iteration_budgets=(0,), mode="single", seed=3,
+    ),
 }
 
 #: File in DIR -> the ``adastrat`` command whose stdout it holds; ``--config`` and ``--run-dir`` are relative to DIR.
@@ -127,7 +135,7 @@ CLI_OUTPUTS = {
     "compare-mc-default.json": ["compare-mc", "--config", "default/config.json", "--n", "70001", "--seed", "5"],
     "compare-mc-external.json": ["compare-mc", "--config", "external/config.json", "--n", "3000", "--seed", "2"],
     "oracle-default.json": ["oracle", "--config", "default/config.json", "--n", "3000000", "--seed", "7"],
-    **{f"report-{name}.txt": ["report", "--run-dir", name] for name in ("gap", "multi-iterate", "exact")},
+    **{f"report-{name}.txt": ["report", "--run-dir", name] for name in ("gap", "multi-iterate", "exact", "linear")},
 }
 
 

@@ -31,12 +31,12 @@ from . import persist
 from .allocation import AllocationPlan, plan_allocation, select_candidates
 from .conditional import ConditionalTable, build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, load_config
-from .errors import ConfigError, DegenerateModelError, EvaluationThresholdError
+from .errors import ConfigError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate, hard_tail_p2
 from .evaluators import FAILURE_ABORT_FRACTION, evaluate_batch
 from .rng import substream
 from .space import SampleRecord, sample_product, sample_uniform
-from .strata import StratumSet, StratumWeights, build_strata, degenerate_split, estimate_weights, exact_weights
+from .strata import StratumSet, StratumWeights, build_strata, estimate_weights, exact_weights
 from .surrogate import SurrogateModel, fit
 
 #: Version of the run-directory layout that ``state.json`` commits.
@@ -94,13 +94,7 @@ def _design(
     they are read back, because a large pool is costly to redraw (the last refit's file, not a
     newer one an uncommitted attempt left); else they are drawn from the ("pool", k) substream."""
     model = fit(config.space, *_arrays([s for s in samples if s.iteration <= k]))
-    try:
-        strata = build_strata(
-            config.critical_value, model.sigma, config.inner_strata, halfwidth_sigmas=config.band_halfwidth_sigmas
-        )
-    except DegenerateModelError:
-        # perfect fit: the band collapses, split once at the critical value
-        strata = degenerate_split(config.critical_value)
+    strata = build_strata(config.critical_value, model.sigma, config.inner_strata, config.band_halfwidth_sigmas)
     if config.pool_size is None:
         weights = exact_weights(strata, model)
     elif committed is not None:
@@ -170,10 +164,21 @@ def _persist_iteration(
     })
 
 
+def _check_stored(config: RunConfig, run_dir: Path) -> None:
+    """Refuse ``config`` for a ``run_dir`` whose ``config.json`` holds another config."""
+    if (run_dir / "config.json").exists():
+        stored = load_config(run_dir / "config.json").to_dict()
+        changed = sorted(k for k, v in config.to_dict().items() if v != stored[k])
+        if changed:
+            raise ConfigError(f"run directory {run_dir} stores a config with other {', '.join(changed)}; "
+                              "run it under its stored config")
+
+
 def init_run_dir(config: RunConfig, run_dir: Path) -> None:
-    """Create ``run_dir`` holding only the config; refuse one that holds a campaign."""
+    """Create ``run_dir`` holding only the config; refuse one that holds a campaign or another config."""
     if (run_dir / "state.json").exists():
         raise ConfigError(f"run directory {run_dir} already holds a campaign; resume it with `run`")
+    _check_stored(config, run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     persist.write_doc(run_dir / "config.json", config.to_dict())
 
@@ -247,17 +252,13 @@ def next_budget(state: RunState) -> Optional[int]:
 
 
 def run_campaign(config: RunConfig, run_dir: Optional[Path] = None) -> RunState:
-    """Preliminary batch plus every configured budget; a run dir is resumed under its stored config only."""
+    """Preliminary batch plus every configured budget; a run dir that stores a config runs under it only."""
     resume = run_dir is not None and (Path(run_dir) / "state.json").exists()
+    if resume:
+        _check_stored(config, Path(run_dir))
     state = load_state(Path(run_dir)) if resume else _new_state(config, run_dir)
     with closing(state.evaluator):
-        if resume:
-            stored = state.config.to_dict()
-            changed = sorted(k for k, v in config.to_dict().items() if v != stored[k])
-            if changed:
-                raise ConfigError(f"run directory {run_dir} holds a campaign with other {', '.join(changed)}; "
-                                  "resume it with its stored config")
-        else:
+        if not resume:
             _preliminary(state)
         while (budget := next_budget(state)) is not None:
             run_iteration(state, budget)

@@ -10,8 +10,8 @@ reads and takes none. ``run`` and ``iterate`` build their evaluator for the
 run directory, ``compare-mc`` without one; each ends its children before it
 returns (and before the lock is released).
 
-Exit codes: 0 success, 2 configuration error, 3 evaluator failure threshold,
-4 allocation infeasible.
+Exit codes: 0 success, and for each error the command line expects, the
+code ``EXIT_CODES`` gives it; any other error propagates.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from contextlib import closing, contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .campaign import (
@@ -33,16 +34,21 @@ from .campaign import (
     run_iteration,
     write_report,
 )
-from .config import MODES, build_evaluator, load_config, with_overrides
-from .errors import AllocationError, ConfigError, EvaluationThresholdError
+from .config import MODES, build_evaluator, load_config
+from .errors import AdastratError, AllocationError, ConfigError, EvaluationThresholdError, FitError
 from .estimator import confidence_interval, stratified_variance
 from .evaluators import MC_BATCH, count_exceedances, oracle_probability
 from .rng import substream
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_EVALUATOR = 3
-EXIT_ALLOCATION = 4
+#: (error type, exit code, message label) of each error the command line expects. A fit fails
+#: only on what the evaluator returned, such as an objective too large to fit.
+EXIT_CODES = (
+    (ConfigError, 2, "configuration error"),
+    (EvaluationThresholdError, 3, "evaluator failure"),
+    (FitError, 3, "evaluator failure"),
+    (AllocationError, 4, "allocation infeasible"),
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -82,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "RunConfig":
-    config = load_config(args.config)
-    return with_overrides(config, seed=args.seed, parallelism=args.parallelism, mode=args.mode)
+    """The ``--config`` file's config, with each of ``--seed``, ``--parallelism`` and ``--mode`` that is given."""
+    flags = {k: getattr(args, k) for k in ("seed", "parallelism", "mode") if getattr(args, k) is not None}
+    return replace(load_config(args.config), **flags).validate()
 
 
 @contextmanager
@@ -200,15 +207,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EvaluationThresholdError as exc:
-        print(f"evaluator failure: {exc}", file=sys.stderr)
-        return EXIT_EVALUATOR
-    except AllocationError as exc:
-        print(f"allocation infeasible: {exc}", file=sys.stderr)
-        return EXIT_ALLOCATION
+    except AdastratError as exc:
+        for kind, code, label in EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ points and, per product group, its number of dimensions + 1 draws.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -223,16 +223,3 @@ def build_evaluator(config: RunConfig, run_dir: Optional[Path] = None):
         raise ConfigError(f"unknown {kind} evaluator keys: {sorted(spec)}")
     return evaluator
 
-
-def with_overrides(
-    config: RunConfig,
-    *,
-    seed: Optional[int] = None,
-    parallelism: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> RunConfig:
-    """CLI-flag overrides applied on top of the loaded config."""
-    updates = {k: v for k, v in dict(seed=seed, parallelism=parallelism, mode=mode).items() if v is not None}
-    if not updates:
-        return config
-    return replace(config, **updates).validate()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; ``cli.EXIT_CODES`` gives the exit code of each the command line expects."""
 
 
 class AdastratError(Exception):
@@ -6,7 +6,7 @@ class AdastratError(Exception):
 
 
 class ConfigError(AdastratError):
-    """Invalid run configuration (CLI exit code 2)."""
+    """Invalid run configuration."""
 
 
 class BoundsError(AdastratError, ValueError):
@@ -14,7 +14,7 @@ class BoundsError(AdastratError, ValueError):
 
 
 class FitError(AdastratError):
-    """Least-squares fit cannot proceed (rank deficiency, too few samples)."""
+    """Least-squares fit cannot proceed (rank deficiency, too few samples, an objective too large to fit)."""
 
 
 class DegenerateModelError(AdastratError):
@@ -22,7 +22,7 @@ class DegenerateModelError(AdastratError):
 
 
 class AllocationError(AdastratError):
-    """No feasible sample allocation exists (CLI exit code 4)."""
+    """No feasible sample allocation exists."""
 
 
 class UnfillableStratumError(AllocationError):
@@ -42,7 +42,7 @@ class UnfillableStratumError(AllocationError):
 
 
 class EvaluationThresholdError(AdastratError):
-    """Too many evaluations failed to continue the campaign (CLI exit code 3)."""
+    """Too many evaluations failed to continue the campaign."""
 
 
 class ContractError(AdastratError):

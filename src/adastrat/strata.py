@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateModelError
+from .errors import BoundsError
 from .surrogate import SurrogateModel
 
 # Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
@@ -96,29 +96,27 @@ def build_strata(
 
     Edges are generated symmetrically about the critical value so that, for an
     even bin count, the critical value is itself an edge (exactly, not to
-    rounding). Total strata = inner_strata + 2 once the tails are added. Bins
-    of at most 2**-44 of the largest edge (256 ulps) are refused: the edges'
-    rounding then stays well under a bin, so ``bin_many``'s guess is exact
-    to within one bin.
+    rounding). Total strata = inner_strata + 2 once the tails are added. A
+    ``sigma`` too small to carry a band, as of a perfect fit, gives
+    ``degenerate_split`` instead, and so do bins of at most 2**-44 of the
+    largest edge (256 ulps): in every band the edges' rounding stays well
+    under a bin, so ``bin_many``'s guess is exact to within one bin.
     """
-    if sigma <= 1e-12 * max(1.0, abs(critical_value)):
-        raise DegenerateModelError(
-            f"residual scale {sigma!r} is zero or too small to carry a stratum band "
-            f"around {critical_value!r}"
-        )
     if inner_strata < 1:
         raise ValueError(f"inner_strata must be >= 1, got {inner_strata}")
     if halfwidth_sigmas <= 0.0:
         raise ValueError(f"halfwidth_sigmas must be positive, got {halfwidth_sigmas}")
+    if sigma <= 1e-12 * max(1.0, abs(critical_value)):
+        return degenerate_split(critical_value)
     width = 2.0 * halfwidth_sigmas * sigma / inner_strata
     edges = critical_value + (np.arange(inner_strata + 1) - inner_strata / 2.0) * width
     if width <= 2.0**-44 * np.abs(edges).max():
-        raise DegenerateModelError(f"bins of width {width!r} around {critical_value!r} are too narrow for floats")
+        return degenerate_split(critical_value)
     return StratumSet(edges=edges, critical_value=critical_value, sigma=sigma)
 
 
 def degenerate_split(critical_value: float) -> StratumSet:
-    """Two-stratum fallback for a perfect surrogate fit (sigma = 0)."""
+    """Two strata split at the critical value, with sigma = 0: the layout of a band too narrow to lay out."""
     return StratumSet(
         edges=np.array([critical_value], dtype=float),
         critical_value=critical_value,

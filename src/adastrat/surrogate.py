@@ -51,7 +51,8 @@ def fit(space: ParameterSpace, ws: np.ndarray, y: np.ndarray) -> SurrogateModel:
 
     Raises:
         FitError: fewer than dim+1 points, an objective value that is not
-            finite, or a rank-deficient design.
+            finite, a rank-deficient design, or an objective so large that
+            the residual scale or a coefficient is not finite.
     """
     y = np.asarray(y, dtype=float)
     n, d = y.size, space.dim
@@ -75,12 +76,18 @@ def fit(space: ParameterSpace, ws: np.ndarray, y: np.ndarray) -> SurrogateModel:
             f"design matrix is rank deficient at column {names[j]!r} "
             f"(pivot {pivots[j]:.3e} vs largest {largest[j]:.3e})"
         )
-    beta = np.linalg.solve(r, q.T @ y)
-    residuals = y - design @ beta
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge objective overflows; it is refused below
+        beta = np.linalg.solve(r, q.T @ y)
+        residuals = y - design @ beta
+        sigma = float(np.sqrt(residuals @ residuals / n))
+    if not np.isfinite([*beta, sigma]).all():
+        i = int(np.argmax(np.abs(y)))
+        raise FitError(f"sample row {i} has objective {float(y[i])!r}, too large to fit: the residual scale or a "
+                       "coefficient is not finite")
     return SurrogateModel(
         space=space,
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
-        sigma=float(np.sqrt(residuals @ residuals / n)),
+        sigma=sigma,
         training_count=n,
     )

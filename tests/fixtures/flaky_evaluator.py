@@ -11,6 +11,7 @@ Mode comes from argv[1]:
   non-object - reply with a JSON value that is not an object for ids divisible by 3
   bad-types - for ids 1, 4, 7, 10, ... reply in turn with the id true, then the
               objective as a string, as a list and as true
+  huge      - reply with the objective 1e300, valid JSON but too large to fit, for id 3
 Other requests are answered with objective = sum of the parameter values.
 """
 import json
@@ -49,6 +50,9 @@ for line in sys.stdin:
             {"id": rid, "objective": [value]},
             {"id": rid, "objective": True},
         ][rid // 3 % 4]), flush=True)
+        continue
+    if mode == "huge" and rid == 3:
+        print(json.dumps({"id": rid, "objective": 1e300}), flush=True)
         continue
     if mode == "wrong-id" and rid % 5 == 0:
         print(json.dumps({"id": rid + 1000, "objective": 0.0}), flush=True)

@@ -21,11 +21,10 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from adastrat.campaign import final_report, run_campaign
+from adastrat.cli import EXIT_CODES
 from adastrat.config import RunConfig
-from adastrat.errors import AllocationError, ConfigError, EvaluationThresholdError
 
 WORKERS = 2
-_EXIT_CODES = ((ConfigError, 2), (EvaluationThresholdError, 3), (AllocationError, 4))
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def _one(config: RunConfig) -> tuple:
     try:
         return 0, final_report(run_campaign(config)), None
     except Exception as exc:
-        code = next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)
+        code = next((code for kind, code, _ in EXIT_CODES if isinstance(exc, kind)), 1)
         return code, None, f"{type(exc).__name__}: {exc}"
 
 

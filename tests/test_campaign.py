@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from adastrat.campaign import (
     write_report,
 )
 from adastrat.config import RunConfig, config_from_dict
-from adastrat.errors import AllocationError, ConfigError, EvaluationThresholdError
+from adastrat.errors import AllocationError, ConfigError, EvaluationThresholdError, FitError
 from adastrat.evaluators import BatchOutcome, EvaluationFailure
 from adastrat.persist import read_table
 
@@ -344,6 +345,16 @@ def test_evaluator_failure_threshold_aborts_preliminary():
     )
     with pytest.raises(EvaluationThresholdError):
         run_preliminary(cfg)
+
+
+@pytest.mark.parametrize("pool_size", [None, 10_000], ids=["exact", "pool"])
+def test_objective_too_large_to_fit_is_a_fit_error(pool_size):
+    huge = {"type": "external", "command": [sys.executable, str(FIXTURES / "flaky_evaluator.py"), "huge"]}
+    cfg = small_config(evaluator=huge, preliminary_count=20, pool_size=pool_size, mode="single")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is refused, not warned about
+        with pytest.raises(FitError, match=r"row 3 has objective 1e\+300, too large to fit"):
+            run_campaign(cfg)
 
 
 def test_final_report_contents():

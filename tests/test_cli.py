@@ -16,6 +16,7 @@ from adastrat import cli, evaluators
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
 from adastrat.config import build_evaluator, load_config
+from adastrat.errors import ContractError
 from adastrat.estimator import confidence_interval, stratified_variance
 from adastrat.evaluators import oracle_probability
 from adastrat.rng import substream
@@ -410,6 +411,23 @@ def test_resume_with_another_config_is_exit_code_2(tmp_path, config_path, capsys
     assert json.loads((run_dir / "report.json").read_text())["iterations"] == 2
 
 
+def test_run_after_init_runs_only_under_the_stored_config(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "r"
+    assert main(["init", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(config_path.read_text()), "seed": 99}))
+    capsys.readouterr()
+    before = _tree(run_dir)
+    for argv in (["--config", str(other)], ["--config", str(config_path), "--seed", "99"]):
+        for command in ("run", "init"):
+            assert main([command, *argv, "--run-dir", str(run_dir)]) == 2, (command, argv)
+            assert "stores a config with other seed" in capsys.readouterr().err
+            assert _tree(run_dir) == before
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    assert json.loads((run_dir / "report.json").read_text())["iterations"] == 2
+    assert (run_dir / "config.json").read_bytes() == before[run_dir / "config.json"]
+
+
 def test_second_writer_is_exit_code_2(tmp_path, config_path, capsys):
     run_dir = tmp_path / "r"
     assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
@@ -518,6 +536,41 @@ def test_evaluator_failure_threshold_is_exit_code_3(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfg), "--run-dir", str(tmp_path / "r")]) == 3
     assert "evaluator failure" in capsys.readouterr().err
+
+
+def test_objective_too_large_to_fit_is_exit_code_3(tmp_path, capsys):
+    doc = {
+        "critical_value": 0.95,
+        "evaluator": {"type": "external", "command": [sys.executable, str(FIXTURES / "flaky_evaluator.py"), "huge"]},
+        "preliminary_count": 20,
+        "iteration_budgets": [5],
+        "seed": 1,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    run_dir = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--run-dir", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator failure: sample row 3 has objective 1e+300, too large to fit")
+    assert "Warning" not in err
+    assert [p.name for p in run_dir.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("kind, code, label", cli.EXIT_CODES, ids=[k.__name__ for k, _, _ in cli.EXIT_CODES])
+def test_exit_codes_table(monkeypatch, capsys, kind, code, label):
+    def raises(error):
+        def command(args):
+            raise error
+
+        return command
+
+    monkeypatch.setitem(cli._COMMANDS, "report", raises(kind("the message")))
+    assert main(["report", "--run-dir", "unused"]) == code
+    assert capsys.readouterr().err == f"{label}: the message\n"
+    # an error the table does not list is no exit code: it propagates
+    monkeypatch.setitem(cli._COMMANDS, "report", raises(ContractError("a broken contract")))
+    with pytest.raises(ContractError, match="a broken contract"):
+        main(["report", "--run-dir", "unused"])
 
 
 def test_allocation_infeasible_is_exit_code_4(tmp_path, capsys):

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adastrat import strata as strata_module
 from adastrat.campaign import run_preliminary
 from adastrat.config import RunConfig
-from adastrat.errors import BoundsError, DegenerateModelError
+from adastrat.errors import BoundsError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
 from adastrat.strata import StratumSet, build_strata, degenerate_split, estimate_weights, exact_weights
@@ -51,9 +51,14 @@ def test_single_inner_stratum_layout():
     np.testing.assert_allclose(s.midpoints(), [-np.inf, 0.9, np.inf])
 
 
+def _assert_is_split(s, critical):
+    split = degenerate_split(critical)
+    np.testing.assert_array_equal(s.edges, split.edges)
+    assert (s.critical_value, s.sigma) == (split.critical_value, 0.0)
+
+
 def test_build_rejects_degenerate_sigma():
-    with pytest.raises(DegenerateModelError):
-        build_strata(0.9, 0.0, 100)
+    _assert_is_split(build_strata(0.9, 0.0, 100), 0.9)
     with pytest.raises(ValueError):
         build_strata(0.9, 0.01, 0)
 
@@ -108,11 +113,7 @@ def _assert_bins_like_searchsorted(s):
 
 @given(st.floats(-1e9, 1e9), st.floats(-14.0, 4.0), st.floats(1e-3, 1e3), st.integers(1, 300))
 def test_bin_many_equals_searchsorted(critical, log_sigma, halfwidth, inner):
-    try:
-        s = build_strata(critical, 10.0**log_sigma, inner, halfwidth_sigmas=halfwidth)
-    except DegenerateModelError:
-        assume(False)
-    _assert_bins_like_searchsorted(s)
+    _assert_bins_like_searchsorted(build_strata(critical, 10.0**log_sigma, inner, halfwidth_sigmas=halfwidth))
 
 
 @given(st.floats(-1e300, 1e300))
@@ -121,7 +122,7 @@ def test_degenerate_split_bins_like_searchsorted(critical):
 
 
 def _band(critical, inner, width):
-    # halfwidth inner/256 sigma keeps sigma = 128 * width clear of the residual-scale refusal
+    # halfwidth inner/256 sigma keeps sigma = 128 * width clear of the residual-scale split
     halfwidth = inner / 256
     return build_strata(critical, width * inner / (2 * halfwidth), inner, halfwidth_sigmas=halfwidth)
 
@@ -129,11 +130,10 @@ def _band(critical, inner, width):
 @pytest.mark.parametrize("critical", [1.0, -3e5, 0.9, 1e-300])
 @pytest.mark.parametrize("inner", [1, 2, 3, 299, 300])
 def test_narrowest_accepted_band_bins_exactly(critical, inner):
-    # bins twice the refusal threshold of 2**-44 of the largest edge
+    # bins twice the split threshold of 2**-44 of the largest edge
     _assert_bins_like_searchsorted(_band(critical, inner, 2.0**-43 * max(abs(critical), 1.0)))
     if abs(critical) >= 0.5:
-        with pytest.raises(DegenerateModelError, match="too narrow"):
-            _band(critical, inner, 2.0**-46 * abs(critical))
+        _assert_is_split(_band(critical, inner, 2.0**-46 * abs(critical)), critical)
 
 
 def test_estimate_weights_everything_in_middle_for_huge_sigma():
