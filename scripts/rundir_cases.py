@@ -62,12 +62,22 @@ that each equals that directory's ``report.txt``:
 - ``report-exact.txt``: ``exact``, whose exact weights are recomputed;
 - ``report-linear.txt``: ``linear``, whose split is laid out again.
 
-Run it in both checkouts and compare with ``diff -r -x run.log A B``; the
-timing-free files of equal code and equal seeds must not differ.
+The timing-free files of equal code and equal seeds must not differ. To
+compare this checkout with a git revision REV, run
+
+    python scripts/rundir_cases.py --out DIR --against REV
+
+It writes the cases twice with this script and these fixtures: into DIR/here
+under this checkout's ``src/``, and into DIR/against under REV's ``src/``,
+which ``git archive`` extracts into DIR/rev beside copies of this script
+and of ``tests/fixtures``. Then it prints ``diff -r -x run.log`` of the two
+trees and exits 1 if they differ.
 """
 import argparse
 import json
 import os
+import shutil
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -139,11 +149,33 @@ CLI_OUTPUTS = {
 }
 
 
+def against(parser: argparse.ArgumentParser, out: Path, rev: str) -> int:
+    """Write the cases under this checkout's ``src/`` and under ``rev``'s, then diff the two trees."""
+    if out.exists():
+        parser.error(f"{out} already exists")
+    (out / "rev").mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode != 0:
+        parser.error(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", str(out / "rev")], input=archive.stdout, check=True)
+    shutil.copytree(ROOT / "scripts", out / "rev" / "scripts")
+    shutil.copytree(ROOT / "tests" / "fixtures", out / "rev" / "tests" / "fixtures")
+    for name, root in (("here", ROOT), ("against", out / "rev")):
+        if subprocess.run([sys.executable, str(root / "scripts" / "rundir_cases.py"), "--out", str(out / name)]).returncode:
+            parser.error(f"writing the cases under {root / 'src'} failed")
+    diff = subprocess.run(["diff", "-r", "-x", "run.log", str(out / "against"), str(out / "here")])
+    print(f"{'no difference' if diff.returncode == 0 else 'the trees differ'} from {rev}")
+    return 0 if diff.returncode == 0 else 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="directory to create the run dirs in")
+    parser.add_argument("--against", metavar="REV", help="write the cases here and under REV's src/ and diff them")
     args = parser.parse_args()
     args.out = args.out.resolve()
+    if args.against is not None:
+        return against(parser, args.out, args.against)
     os.chdir(ROOT)  # the external case's solver path is relative to the repo root
     for name, config in CASES.items():
         run_dir = args.out / name

@@ -23,13 +23,9 @@ from .config import RunConfig, load_config
 from .errors import (
     AdastratError,
     AllocationError,
-    BoundsError,
     ConfigError,
-    ContractError,
-    DegenerateModelError,
     EvaluationThresholdError,
     FitError,
-    UnfillableStratumError,
 )
 from .estimator import RareEventEstimate
 from .evaluators import ExternalEvaluator, SyntheticObjective, oracle_probability

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllocationError, UnfillableStratumError
+from .errors import AllocationError
 from .strata import StratumSet
 from .surrogate import SurrogateModel
 
@@ -214,7 +214,7 @@ def select_candidates(
     ``(additional.sum(), d)`` array in natural units, ordered by (stratum
     index, draw order). A stratum still unfilled after
     ``PER_STRATUM_CAP * additional[i]`` total draws raises
-    UnfillableStratumError; the cap is checked after each batch, so it is met
+    AllocationError; the cap is checked after each batch, so it is met
     to within one batch.
 
     Every batch is drawn by ``rng.random(out=...)`` into one buffer of
@@ -277,11 +277,11 @@ def select_candidates(
         short = np.flatnonzero((need > 0) & (drawn >= PER_STRATUM_CAP * additional))
         if short.size:
             i = short[0]
-            raise UnfillableStratumError(
-                stratum=int(i),
-                requested=int(additional[i]),
-                found=int(additional[i] - need[i]),
-                estimated_weight=float(hits[i] / drawn),
+            raise AllocationError(
+                f"stratum {i}: found only {additional[i] - need[i]} of {additional[i]} candidates within the "
+                f"draw cap (estimated stratum weight {hits[i] / drawn:.3e}); raise allocation_prune_share to "
+                f"leave thin strata out of the plan, or widen the band (band_halfwidth_sigmas) or use fewer "
+                f"strata (inner_strata)"
             )
         slowest = (need * drawn / np.maximum(hits, 1)).max()  # a filled quota's need is 0
         size = int(min(max(slowest / 2, _SEARCH_BATCH), _SEARCH_BATCH_CAP))

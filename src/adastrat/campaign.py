@@ -20,6 +20,7 @@ a persisted run between iterations reproduces the uninterrupted run exactly.
 """
 from __future__ import annotations
 
+import shutil
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,18 +137,18 @@ def _persist_iteration(
     plan: Optional[AllocationPlan] = None,
     observed: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
-    """Write iteration ``state.iteration``'s files, then commit; ``observed`` is the hard-tail p2
-    and the counts behind the newest estimate, for an iteration that made one."""
+    """Write iteration ``state.iteration``'s directory afresh, emptying what an attempt that died
+    before its commit left there, then commit; ``observed`` is the hard-tail p2 and the counts
+    behind the newest estimate, for an iteration that made one."""
     if state.run_dir is None:
         return
     run_dir, iteration = state.run_dir, state.iteration
     d = persist.iter_dir(run_dir, iteration)
-    d.mkdir(parents=True, exist_ok=True)
+    if d.exists():
+        shutil.rmtree(d)
+    d.mkdir()
     if _last_refit(state) == iteration:
         persist.write_refit(d, state.model, state.strata, state.weights)
-    else:  # a refit by an attempt that died before its commit describes no committed sample
-        (d / "model.json").unlink(missing_ok=True)
-        (d / "weights.tsv").unlink(missing_ok=True)
     if table is not None:
         persist.write_conditional(d / "conditional.tsv", table)
     if plan is not None:
@@ -283,7 +284,8 @@ def load_state(run_dir: Path) -> RunState:
     """Rebuild a RunState from the last commit of a persisted run directory."""
     run_dir = Path(run_dir)
     if not (run_dir / "state.json").exists():
-        problem = "holds no committed campaign; start it with `run`" if run_dir.is_dir() else "does not exist"
+        problem = ("holds no committed campaign; start it with `run`" if run_dir.is_dir()
+                   else "is not a directory" if run_dir.exists() else "does not exist")
         raise ConfigError(f"run directory {run_dir} {problem}")
     doc = _read(persist.read_doc, run_dir / "state.json")
     if doc.get("format") != STATE_FORMAT:

@@ -95,12 +95,16 @@ def _load(args) -> "RunConfig":
 
 @contextmanager
 def _sole_writer(run_dir: Path, create: bool):
-    """Lock the run directory itself (no lock file enters it); a second writer is refused."""
-    if create:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    elif not run_dir.is_dir():
-        raise ConfigError(f"run directory {run_dir} does not exist")
-    fd = os.open(run_dir, os.O_RDONLY)
+    """Lock the run directory itself (no lock file enters it); a second writer is refused, and so
+    is a run directory that cannot be made (with ``create``) or does not exist (without)."""
+    try:
+        if create:
+            run_dir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(run_dir, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        problem = ("is not a directory" if run_dir.exists() else "does not exist" if not create
+                   else f"cannot be made: {exc.strerror}")
+        raise ConfigError(f"run directory {run_dir} {problem}") from None
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

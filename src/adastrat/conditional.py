@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateModelError
 from .strata import StratumSet
 
 _SQRT2 = math.sqrt(2.0)
@@ -30,7 +29,7 @@ def laplace_exceedance(a: np.ndarray, critical_value: float, sigma: float) -> np
     critical value itself.
     """
     if sigma <= 0.0:
-        raise DegenerateModelError(f"sigma must be positive, got {sigma!r}")
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     a = np.asarray(a, dtype=float)
     b = sigma / _SQRT2
     c = critical_value
@@ -67,7 +66,7 @@ def observe_p2(
     j_true = np.asarray(j_true, dtype=float)
     missing = np.flatnonzero(np.isnan(j_true))
     if missing.size:
-        raise ContractError(f"sample row {int(missing[0])} has no objective value")
+        raise ValueError(f"sample row {int(missing[0])} has no objective value")
     idx = strata.bin_many(j_tilde)
     n = strata.n_strata
     counts = np.bincount(idx, minlength=n)

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError
 from .strata import StratumSet, StratumWeights
 
 _SUM_TOL = 1e-9
@@ -31,7 +30,7 @@ def estimate(p1: np.ndarray, p2: np.ndarray) -> float:
         raise ValueError("p1 and p2 entries must lie in [0, 1]")
     total = float(p1.sum())
     if abs(total - 1.0) > _SUM_TOL:
-        raise ContractError(f"stratum weights sum to {total!r}, not 1")
+        raise ValueError(f"stratum weights sum to {total!r}, not 1")
     return float(p1 @ p2)
 
 
@@ -50,7 +49,7 @@ def stratified_variance(p1: np.ndarray, p2: np.ndarray, counts: np.ndarray, ddof
     active = (p2 > 0.0) & (p2 < 1.0)
     starved = active & (counts < 1)
     if starved.any():
-        raise ContractError(
+        raise ValueError(
             f"stratum {int(np.flatnonzero(starved)[0])} has conditional probability "
             f"strictly between 0 and 1 but no samples"
         )

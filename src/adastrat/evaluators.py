@@ -74,7 +74,7 @@ class EvaluationFailure:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Successful results plus collectively-reported failures, both sorted by id."""
+    """Successful results plus collectively-reported failures, both in row order."""
 
     results: list[EvaluationResult]
     failures: list[EvaluationFailure]
@@ -379,15 +379,15 @@ def _run_checked(evaluator, ids: Sequence[int], ws: np.ndarray) -> tuple[np.ndar
 def evaluate_batch(evaluator, ids: Sequence[int], ws: np.ndarray) -> BatchOutcome:
     """Evaluate the rows of ``ws`` as requests ``ids``, checked by ``_run_checked``.
 
-    Results and failures carry their request ids and come back sorted by id,
+    Results and failures carry their request ids and come back in row order,
     so the outcome is independent of parallelism and reply order for any
     deterministic evaluator.
     """
     if len(ids) == 0:
         return BatchOutcome(results=[], failures=[])
     objectives, seconds, reasons = _run_checked(evaluator, ids, ws)
-    order = np.argsort(ids, kind="stable").tolist()
+    rows = range(len(ids))
     return BatchOutcome(
-        results=[EvaluationResult(int(ids[r]), float(objectives[r]), float(seconds[r])) for r in order if r not in reasons],
-        failures=[EvaluationFailure(int(ids[r]), reasons[r]) for r in order if r in reasons],
+        results=[EvaluationResult(int(ids[r]), float(objectives[r]), float(seconds[r])) for r in rows if r not in reasons],
+        failures=[EvaluationFailure(int(ids[r]), reasons[r]) for r in rows if r in reasons],
     )

@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,12 @@ class ParameterSpace:
     def validate_many(self, ws: np.ndarray) -> np.ndarray:
         ws = np.atleast_2d(np.asarray(ws, dtype=float))
         if ws.shape[1] != self.dim:
-            raise BoundsError(f"expected {self.dim} columns, got {ws.shape[1]}")
+            raise ValueError(f"expected {self.dim} columns, got {ws.shape[1]}")
         bad = ~((ws >= self._lows) & (ws <= self._highs) & np.isfinite(ws))
         if bad.any():
             row, col = np.argwhere(bad)[0]
             d = self.dims[col]
-            raise BoundsError(
+            raise ValueError(
                 f"parameter {d.name!r}: value {float(ws[row, col])!r} outside [{d.min}, {d.max}] "
                 f"(row {row})"
             )

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoundsError
 from .surrogate import SurrogateModel
 
 # Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
@@ -59,11 +58,11 @@ class StratumSet:
         guess-and-correct scheme ``numpy.histogram`` uses for uniform bins: the
         bin is guessed from the equal-width layout, which is off by at most
         one bin, then corrected by one step against the stored edges. -inf
-        maps to stratum 0 and +inf to the last one; NaN raises ``BoundsError``.
+        maps to stratum 0 and +inf to the last one; NaN raises ``ValueError``.
         """
         x = np.asarray(j_tildes, dtype=float)
         if np.isnan(x).any():
-            raise BoundsError("cannot bin NaN surrogate values")
+            raise ValueError("cannot bin NaN surrogate values")
         edges, n = self.edges, self.edges.size
         scale = (n - 1) / (edges[-1] - edges[0]) if n > 1 else 1.0
         with np.errstate(over="ignore"):  # a far-tail value may overflow; it is clipped
@@ -170,7 +169,7 @@ def exact_weights(strata: StratumSet, model: SurrogateModel) -> StratumWeights:
     """
     a = np.asarray(model.coefficients, dtype=float)
     if not (np.isfinite(a).all() and math.isfinite(model.intercept)):
-        raise BoundsError("cannot weigh strata under a surrogate with non-finite coefficients")
+        raise ValueError("cannot weigh strata under a surrogate with non-finite coefficients")
     a = a[a != 0]
     if a.size > EXACT_MAX_DIM:
         raise ValueError(f"exact weights of {a.size} nonzero coefficients need 2**{a.size} subset sums per edge; "
@@ -256,7 +255,7 @@ def estimate_weights(
     ``x < edges[0]`` into stratum 0 and bins only the others. That is exact:
     under ``bin_many``'s rules (an edge belongs to the higher stratum, -inf
     to stratum 0) stratum 0 is exactly ``x < edges[0]``, and a NaN row fails
-    that test, so it still reaches ``bin_many`` and raises ``BoundsError``.
+    that test, so it still reaches ``bin_many`` and raises ``ValueError``.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")

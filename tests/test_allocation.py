@@ -12,7 +12,7 @@ from adastrat.allocation import (
     select_candidates,
     subtract_existing,
 )
-from adastrat.errors import AllocationError, UnfillableStratumError
+from adastrat.errors import AllocationError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
 from adastrat.strata import build_strata, degenerate_split
@@ -226,10 +226,9 @@ def test_select_candidates_unfillable_stratum(monkeypatch):
     strata = build_strata(0.5, 0.05, 10)
     additional = np.zeros(strata.n_strata, dtype=int)
     additional[-1] = 2  # the upper tail is unreachable for the identity surrogate on [0, 1]
-    with pytest.raises(UnfillableStratumError) as err:
+    last = strata.n_strata - 1
+    with pytest.raises(AllocationError, match=rf"^stratum {last}: found only 0 of 2 candidates .* weight 0\.000e\+00\)"):
         select_candidates(strata, IDENTITY, additional, substream(7, "unfill"))
-    assert err.value.stratum == strata.n_strata - 1
-    assert err.value.estimated_weight == 0.0
 
 
 def test_select_candidates_deterministic():

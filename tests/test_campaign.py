@@ -316,6 +316,32 @@ def test_refit_of_an_uncommitted_attempt_is_not_loaded(tmp_path, monkeypatch):
     _assert_loads_as_in_memory(tmp_path / "r", state)
 
 
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_retried_iteration_keeps_no_file_of_the_dead_attempt(tmp_path, monkeypatch, mode):
+    # iteration 2 runs with budget 20 and dies at its commit; a retry with budget 0, as
+    # `adastrat iterate --budget 0` makes, leaves what an uninterrupted budget-0 iteration
+    # leaves: no conditional.tsv or allocation.tsv of the plan that never committed
+    cfg = small_config(mode=mode, preliminary_count=20, iteration_budgets=(20, 20), band_halfwidth_sigmas=20.0, seed=4)
+    for name in ("killed", "whole"):
+        run_iteration(run_preliminary(cfg, tmp_path / name), 20)
+    write = persist.atomic_write_text
+
+    def dies_at_commit(path, text):
+        if path.name == "state.json":
+            raise _Crash(f"killed at {path}")
+        write(path, text)
+
+    state = load_state(tmp_path / "killed")
+    with monkeypatch.context() as m:
+        m.setattr(persist, "atomic_write_text", dies_at_commit)
+        with pytest.raises(_Crash):
+            run_iteration(state, 20)
+    assert (tmp_path / "killed" / "iter_002" / "allocation.tsv").exists()
+    for name in ("killed", "whole"):
+        run_iteration(load_state(tmp_path / name), 0)
+    assert not _tree_differs(filecmp.dircmp(tmp_path / "killed", tmp_path / "whole", ignore=["run.log"]))
+
+
 def test_run_campaign_resumes_via_run_dir(tmp_path):
     cfg = small_config()
     state = run_preliminary(cfg, tmp_path / "r")

@@ -12,11 +12,11 @@ import pytest
 
 from contextlib import contextmanager
 
-from adastrat import cli, evaluators
+from adastrat import cli, errors, evaluators
 from adastrat.campaign import run_preliminary
 from adastrat.cli import main
 from adastrat.config import build_evaluator, load_config
-from adastrat.errors import ContractError
+from adastrat.errors import AdastratError
 from adastrat.estimator import confidence_interval, stratified_variance
 from adastrat.evaluators import oracle_probability
 from adastrat.rng import substream
@@ -450,6 +450,22 @@ def test_second_writer_is_exit_code_2(tmp_path, config_path, capsys):
     assert main(["iterate", "--run-dir", str(run_dir), "--budget", "5"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "init", "iterate", "report"])
+def test_run_dir_that_is_a_file_is_exit_code_2(tmp_path, config_path, capsys, command):
+    # a file where the run directory goes, or on its path, is refused by name, and nothing is written
+    afile = tmp_path / "afile"
+    afile.write_text("not a run directory")
+    cases = [(afile, "is not a directory")]
+    if command in ("run", "init"):
+        cases.append((afile / "sub", "cannot be made: Not a directory"))
+    before = sorted(tmp_path.rglob("*"))
+    for run_dir, problem in cases:
+        flags = ["--config", str(config_path)] if command in ("run", "init") else []
+        assert main([command, "--run-dir", str(run_dir), *flags]) == 2, run_dir
+        assert capsys.readouterr().err == f"configuration error: run directory {run_dir} {problem}\n"
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "not a run directory"
+
+
 def test_compare_mc_baseline(config_path, capsys):
     assert main(["compare-mc", "--config", str(config_path), "--n", "400"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -556,6 +572,11 @@ def test_objective_too_large_to_fit_is_exit_code_3(tmp_path, capsys):
     assert [p.name for p in run_dir.iterdir()] == ["config.json"]
 
 
+def test_the_package_raises_only_the_error_types_of_the_exit_code_table():
+    defined = {t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, AdastratError)}
+    assert defined - {AdastratError} == {kind for kind, _, _ in cli.EXIT_CODES}
+
+
 @pytest.mark.parametrize("kind, code, label", cli.EXIT_CODES, ids=[k.__name__ for k, _, _ in cli.EXIT_CODES])
 def test_exit_codes_table(monkeypatch, capsys, kind, code, label):
     def raises(error):
@@ -568,8 +589,8 @@ def test_exit_codes_table(monkeypatch, capsys, kind, code, label):
     assert main(["report", "--run-dir", "unused"]) == code
     assert capsys.readouterr().err == f"{label}: the message\n"
     # an error the table does not list is no exit code: it propagates
-    monkeypatch.setitem(cli._COMMANDS, "report", raises(ContractError("a broken contract")))
-    with pytest.raises(ContractError, match="a broken contract"):
+    monkeypatch.setitem(cli._COMMANDS, "report", raises(AdastratError("a broken contract")))
+    with pytest.raises(AdastratError, match="a broken contract"):
         main(["report", "--run-dir", "unused"])
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adastrat.errors import ContractError
 from adastrat.estimator import (
     build_estimate,
     confidence_interval,
@@ -22,7 +21,7 @@ def test_estimate_single_stratum_reduces_to_naive_mc():
 
 def test_estimate_trivials_and_weight_check():
     assert estimate(np.array([0.6, 0.4]), np.zeros(2)) == 0.0
-    with pytest.raises(ContractError, match="sum"):
+    with pytest.raises(ValueError, match="sum"):
         estimate(np.array([0.6, 0.3]), np.zeros(2))
     with pytest.raises(ValueError):
         estimate(np.array([0.5, 0.5]), np.array([0.5, 1.5]))
@@ -36,7 +35,7 @@ def test_biased_variance_examples():
 
 
 def test_biased_variance_contract_violation():
-    with pytest.raises(ContractError, match="no samples"):
+    with pytest.raises(ValueError, match="no samples"):
         stratified_variance(np.array([0.5, 0.5]), np.array([0.0, 0.5]), np.array([0, 0]))
 
 

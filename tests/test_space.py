@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from adastrat.errors import BoundsError, ConfigError
+from adastrat.errors import ConfigError
 from adastrat.rng import substream
 from adastrat.space import (
     DEFAULT_SPACE,
@@ -126,11 +126,11 @@ def test_normalize_trivials():
 
 def test_normalize_names_offending_dimension():
     w = np.array([4.0, 35.0, 5.0, 4.0, 2.5, 0.2])
-    with pytest.raises(BoundsError, match="aspect_ratio"):
+    with pytest.raises(ValueError, match="aspect_ratio"):
         DEFAULT_SPACE.normalize_many(w)
     bad = np.tile([10.0, 35.0, 5.0, 4.0, 2.5, 0.2], (3, 1))
     bad[2, 4] = 9.9
-    with pytest.raises(BoundsError, match="beta"):
+    with pytest.raises(ValueError, match="beta"):
         DEFAULT_SPACE.normalize_many(bad)
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from adastrat import strata as strata_module
 from adastrat.campaign import run_preliminary
 from adastrat.config import RunConfig
-from adastrat.errors import BoundsError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
 from adastrat.strata import StratumSet, build_strata, degenerate_split, estimate_weights, exact_weights
@@ -73,7 +72,7 @@ def test_bin_rules():
     s = build_strata(0.9, 0.01, 100)
     # the critical value is an interior edge of the even layout: ties go up
     assert s.bin_many([-5.0, 5.0, 0.9, s.edges[3]]).tolist() == [0, 101, 51, 4]
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValueError):
         s.bin_many([0.9, float("nan")])
 
 
@@ -278,7 +277,7 @@ def test_pool_binning_error_reaches_caller_and_joins_helper():
     # NaN in every batch raises on the caller's thread and leaves no thread behind
     nan_model = replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12]))
     before = threading.active_count()
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValueError):
         estimate_weights(build_strata(0.6, 0.01, 100), nan_model, CUTOFF + 3 * BATCH, substream(6, "pool", 0))
     assert threading.active_count() == before
 
@@ -385,7 +384,7 @@ def test_exact_weights_match_rationals_for_any_model(signs_and_scales, intercept
 
 
 def test_exact_weights_refuse_what_they_cannot_weigh():
-    with pytest.raises(BoundsError):
+    with pytest.raises(ValueError):
         exact_weights(BAND, replace(AFFINE6, coefficients=np.array([0.3, np.nan, 0.1, 0.15, 0.05, 0.12])))
     big = SurrogateModel(space=ParameterSpace(tuple(ParameterDef(f"x{i}", 0.0, 1.0) for i in range(13))),
                          intercept=0.0, coefficients=np.full(13, 0.1), sigma=1.0, training_count=20)
