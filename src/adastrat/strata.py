@@ -21,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .surrogate import SurrogateModel
 
-# Rows per pool batch: 1.5 MiB at d = 6, which stays in a 2 MiB L2 cache and
-# keeps the batch matmul under the size at which OpenBLAS 0.3.31 goes parallel
-# (between 420 000 and 480 000 elements), above which a BLAS worker spins on
-# the other core for about 0.1 s after each call. On a 10**7 pool over 102
-# strata (2 cores, three alternating rounds of 9), 2**16 ran within 3% of
-# 2**15 but raised peak RSS by about 5 MB, and 2**14 ran about 10% slower.
-_POOL_BATCH = 1 << 15
+# Rows per pool batch: 384 KiB of draws at d = 6, the size of the candidate search's
+# buffer. Freeing a block above glibc's mmap threshold raises that threshold, after which
+# every later pool's buffers stay on the heap: at 2**15 rows (1.5 MiB) multi-iterate's
+# peak RSS read 44.2 MB, at 2**13 42.4 MB (2-core host). The price is per-batch overhead:
+# a 10**5 pool takes 13 batches instead of 4 and runs about 4% slower.
+_POOL_BATCH = 1 << 13
 
 #: Most nonzero coefficients ``exact_weights`` is asked to handle: 2**12 subset sums per edge.
 EXACT_MAX_DIM = 12
@@ -100,6 +100,10 @@ def build_strata(
     ``degenerate_split`` instead, and so do bins of at most 2**-44 of the
     largest edge (256 ulps): in every band the edges' rounding stays well
     under a bin, so ``bin_many``'s guess is exact to within one bin.
+
+    Raises:
+        ConfigError: the band is too wide for floats: an edge, or the span
+            between the outer two, is not finite.
     """
     if inner_strata < 1:
         raise ValueError(f"inner_strata must be >= 1, got {inner_strata}")
@@ -108,7 +112,12 @@ def build_strata(
     if sigma <= 1e-12 * max(1.0, abs(critical_value)):
         return degenerate_split(critical_value)
     width = 2.0 * halfwidth_sigmas * sigma / inner_strata
-    edges = critical_value + (np.arange(inner_strata + 1) - inner_strata / 2.0) * width
+    with np.errstate(over="ignore", invalid="ignore"):  # a band too wide for floats is refused below
+        edges = critical_value + (np.arange(inner_strata + 1) - inner_strata / 2.0) * width
+        span = edges[-1] - edges[0]
+    if not (np.isfinite(edges).all() and np.isfinite(span)):
+        raise ConfigError(f"band_halfwidth_sigmas {halfwidth_sigmas!r} times the residual scale {sigma!r} "
+                          "lays out strata whose edges are not finite; lower band_halfwidth_sigmas")
     if width <= 2.0**-44 * np.abs(edges).max():
         return degenerate_split(critical_value)
     return StratumSet(edges=edges, critical_value=critical_value, sigma=sigma)
@@ -248,8 +257,10 @@ def estimate_weights(
     """Estimate stratum weights from a streamed pool of cheap surrogate draws.
 
     The pool is the rows of ``rng.random((pool_size, d))``, drawn through
-    ``rng`` and binned in ``_POOL_BATCH``-row batches into one reused buffer
-    on the caller's thread; where ``rng`` ends is left unspecified.
+    ``rng`` and binned in ``_POOL_BATCH``-row batches on the caller's thread;
+    where ``rng`` ends is left unspecified. The draws, their surrogate values
+    and the below-band test each get one buffer per call, reused by every
+    batch; consecutive ``random`` calls return the doubles one call would.
 
     Most rows fall below the band, so each batch counts its rows with
     ``x < edges[0]`` into stratum 0 and bins only the others. That is exact:
@@ -260,10 +271,13 @@ def estimate_weights(
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     counts = np.zeros(strata.n_strata, dtype=np.int64)
-    buffer = np.empty((min(_POOL_BATCH, pool_size), model.space.dim))
+    rows = min(_POOL_BATCH, pool_size)
+    draws, values, flags = np.empty((rows, model.space.dim)), np.empty(rows), np.empty(rows, dtype=bool)
     for start in range(0, pool_size, _POOL_BATCH):
-        x = model.predict_normalized(rng.random(out=buffer[: pool_size - start]))
-        rest = np.compress(~(x < strata.edges[0]), x)
-        counts[0] += x.size - rest.size
+        n = min(_POOL_BATCH, pool_size - start)
+        x = model.predict_normalized(rng.random(out=draws[:n]), out=values[:n])
+        below = np.less(x, strata.edges[0], out=flags[:n])
+        rest = np.compress(np.invert(below, out=below), x)
+        counts[0] += n - rest.size
         counts += np.bincount(strata.bin_many(rest), minlength=strata.n_strata)
     return StratumWeights(p1=counts / pool_size, pool_size=pool_size)

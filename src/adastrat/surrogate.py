@@ -8,6 +8,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,9 +37,12 @@ class SurrogateModel:
         """Surrogate values for rows in natural units."""
         return self.predict_normalized(self.space.normalize_many(ws))
 
-    def predict_normalized(self, us: np.ndarray) -> np.ndarray:
-        """Surrogate values for rows already in normalized coordinates."""
-        return self.intercept + np.asarray(us, dtype=float) @ self.coefficients
+    def predict_normalized(self, us: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Surrogate values for rows already in normalized coordinates, into ``out`` (contiguous,
+        one float per row) if given: the floats ``intercept + us @ coefficients`` gives."""
+        y = np.matmul(np.asarray(us, dtype=float), self.coefficients, out=out)
+        y += self.intercept
+        return y
 
 
 def fit(space: ParameterSpace, ws: np.ndarray, y: np.ndarray) -> SurrogateModel:

@@ -208,6 +208,19 @@ def test_bad_config_is_exit_code_2(tmp_path, config_path, capsys):
         assert not (run_dir / "config.json").exists()
 
 
+@pytest.mark.parametrize("pool_size", [None, 100_000], ids=["exact", "pool"])
+def test_band_too_wide_for_floats_is_refused_after_the_preliminary_fit(tmp_path, config_path, capsys, pool_size):
+    # the config is valid; only the preliminary fit's residual scale shows the edges overflow
+    doc = {**json.loads(config_path.read_text()), "band_halfwidth_sigmas": 1e308, "pool_size": pool_size}
+    config_path.write_text(json.dumps(doc))
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "band_halfwidth_sigmas" in err and "residual scale" in err
+    assert "Traceback" not in err
+    assert not (run_dir / "state.json").exists() and not (run_dir / "samples.tsv").exists()
+
+
 def test_exact_weights_stop_at_twelve_dimensions(tmp_path, config_path, capsys):
     # pool_size unset means exact weights, which take 2**d subset sums per edge
     external = {"type": "external", "command": [sys.executable, str(FIXTURES / "external_objective.py")]}

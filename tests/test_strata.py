@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from adastrat import strata as strata_module
 from adastrat.campaign import run_preliminary
 from adastrat.config import RunConfig
+from adastrat.errors import ConfigError
 from adastrat.rng import substream
 from adastrat.space import ParameterDef, ParameterSpace
 from adastrat.strata import StratumSet, build_strata, degenerate_split, estimate_weights, exact_weights
@@ -60,6 +62,23 @@ def test_build_rejects_degenerate_sigma():
     _assert_is_split(build_strata(0.9, 0.0, 100), 0.9)
     with pytest.raises(ValueError):
         build_strata(0.9, 0.01, 0)
+
+
+@pytest.mark.parametrize(
+    "sigma, halfwidth, inner",
+    [(0.05, 1e308, 100), (1e308, 10.0, 100), (0.05, 1e308, 1), (1e300, 1e10, 2)],
+    ids=["halfwidth", "sigma", "one-bin", "product"],
+)
+def test_build_refuses_a_band_too_wide_for_floats(sigma, halfwidth, inner):
+    # edges of +-inf and NaN would crash the weights or the binning after the preliminary batch
+    with pytest.raises(ConfigError, match=r"band_halfwidth_sigmas .* residual scale"):
+        build_strata(0.95, sigma, inner, halfwidth)
+
+
+def test_build_lays_out_a_band_near_the_float_range():
+    s = build_strata(0.95, 1.0, 100, 4e307)
+    assert np.isfinite(s.edges).all() and np.isfinite(s.edges[-1] - s.edges[0])
+    assert s.bin_many([-np.inf, 0.95, np.inf]).tolist() == [0, 51, 101]
 
 
 def test_degenerate_split_two_strata():
@@ -208,6 +227,7 @@ REFERENCE_BATCH = pytest.mark.parametrize("reference_batch", [CUTOFF], ids=["cut
         2 * BATCH + 17,  # three batches
         3 * BATCH + 17,  # four batches, the last one partial
         CUTOFF - BATCH, CUTOFF, CUTOFF + BATCH,  # either side of the old two-thread cutoff
+        2 * (1 << 15) + 17, 3 * (1 << 15) + 17, CUTOFF - (1 << 15), CUTOFF + (1 << 15),  # the same for 2**15 rows
     ],
 )
 def test_pool_matches_serial_loop(pool_size, reference_batch):
@@ -243,6 +263,20 @@ def test_below_band_count_matches_serial_loop(strata, model, only, reference_bat
         assert (expected > 0).all()
     else:
         assert expected[only] == pool_size
+
+
+def test_pool_holds_one_batch_of_buffers():
+    # 2**13 rows of draws; the surrogate values, the below-band flags and the binned rest are
+    # each a fraction of that, as most rows fall below the band, as in a campaign
+    buffer = (1 << 13) * AFFINE6.space.dim * 8  # 384 KiB
+    strata, rng = build_strata(0.9, 0.01, 100), substream(5, "pool", 0)
+    tracemalloc.start()
+    try:
+        estimate_weights(strata, AFFINE6, 100_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * buffer
 
 
 def test_pool_keeps_a_buffered_half_output():

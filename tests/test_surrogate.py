@@ -70,6 +70,16 @@ def test_refit_is_bit_identical():
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
 
+def test_predict_into_a_buffer_is_bit_identical():
+    ws = sample_uniform(DEFAULT_SPACE, substream(7, "bit"), 8192)
+    model = fit(DEFAULT_SPACE, ws, 0.3 + DEFAULT_SPACE.normalize_many(ws) @ np.linspace(-0.2, 0.5, DEFAULT_SPACE.dim))
+    us = DEFAULT_SPACE.normalize_many(ws)
+    out = np.empty(len(us))
+    assert model.predict_normalized(us, out=out) is out
+    np.testing.assert_array_equal(out, model.predict_normalized(us))
+    np.testing.assert_array_equal(out, model.intercept + us @ model.coefficients)
+
+
 def test_rank_deficient_design_names_column():
     # sweep duplicates aspect_ratio exactly, up to the affine rescaling
     space = ParameterSpace((ParameterDef("a", 0.0, 1.0), ParameterDef("b", 0.0, 2.0)))
