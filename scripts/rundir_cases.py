@@ -62,6 +62,11 @@ that each equals that directory's ``report.txt``:
 - ``report-exact.txt``: ``exact``, whose exact weights are recomputed;
 - ``report-linear.txt``: ``linear``, whose split is laid out again.
 
+Where this ``src/``'s ``adastrat report`` takes ``--tables`` (its commits keep
+only ``allocation.tsv`` and a pool's ``weights.tsv`` in ``iter_k/``), each case's
+rendered tables are laid over its run dir, so the tree holds every ``iter_k/``
+table either way: under an older ``src/``, the run dir already holds them.
+
 The timing-free files of equal code and equal seeds must not differ. To
 compare this checkout with a git revision REV, run
 
@@ -71,7 +76,8 @@ It writes the cases twice with this script and these fixtures: into DIR/here
 under this checkout's ``src/``, and into DIR/against under REV's ``src/``,
 which ``git archive`` extracts into DIR/rev beside copies of this script
 and of ``tests/fixtures``. Then it prints ``diff -r -x run.log`` of the two
-trees and exits 1 if they differ.
+trees and exits 1 if they differ; with the tables laid over, a REV from before
+``--tables`` compares whole trees too.
 """
 import argparse
 import json
@@ -86,7 +92,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from adastrat.campaign import load_state, run_campaign, run_iteration, run_preliminary, write_report
-from adastrat.cli import main as adastrat
+from adastrat.cli import build_parser, main as adastrat
 from adastrat.config import RunConfig
 
 CALIBRATION = json.loads((ROOT / "tests" / "fixtures" / "calibration.json").read_text())
@@ -149,6 +155,21 @@ CLI_OUTPUTS = {
 }
 
 
+#: Whether this ``src/``'s ``report`` renders the ``iter_k/`` tables, which older ones committed.
+TABLES = not build_parser().parse_known_args(["report", "--run-dir", ".", "--tables", "."])[1]
+
+
+def lay_tables(parser: argparse.ArgumentParser, run_dir: Path) -> None:
+    """Render ``run_dir``'s tables beside it with ``report --tables`` and lay them over it."""
+    tables = run_dir.with_name(f"{run_dir.name}.tables")
+    with open(os.devnull, "w") as null, redirect_stdout(null):
+        status = adastrat(["report", "--run-dir", str(run_dir), "--tables", str(tables)])
+    if status != 0:
+        parser.error(f"adastrat report --tables on {run_dir} exited {status}")
+    shutil.copytree(tables, run_dir, dirs_exist_ok=True)
+    shutil.rmtree(tables)
+
+
 def against(parser: argparse.ArgumentParser, out: Path, rev: str) -> int:
     """Write the cases under this checkout's ``src/`` and under ``rev``'s, then diff the two trees."""
     if out.exists():
@@ -191,6 +212,8 @@ def main() -> int:
             run_campaign(config, run_dir)
             if name == "stopped":  # a re-run of a stopped campaign
                 run_campaign(config, run_dir)
+        if TABLES:
+            lay_tables(parser, run_dir)
         print(f"wrote {run_dir}")
     for name, argv in CLI_OUTPUTS.items():
         argv = [str(args.out / a) if flag in ("--config", "--run-dir") else a for flag, a in zip(["", *argv], argv)]

@@ -14,6 +14,8 @@ Two explicit modes, never mixed silently:
 One call, ``_design``, makes the model, strata and stratum weights of every
 refit and load. Weights are exact unless the config names a ``pool_size``; then
 each refit draws its own pool, and a load reads its weights back at that size.
+A commit keeps only what no other file records; ``render_tables`` replays the
+other ``iter_k/`` tables from the committed samples, commit by commit.
 
 Randomness is drawn from substreams named (purpose, iteration), so resuming
 a persisted run between iterations reproduces the uninterrupted run exactly.
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import persist
 from .allocation import AllocationPlan, plan_allocation, select_candidates
-from .conditional import ConditionalTable, build_conditional_table, observe_p2
+from .conditional import build_conditional_table, observe_p2
 from .config import RunConfig, build_evaluator, load_config
 from .errors import ConfigError, EvaluationThresholdError
 from .estimator import RareEventEstimate, build_estimate, hard_tail_p2
@@ -87,19 +89,19 @@ def _last_refit(state: RunState) -> int:
 
 
 def _design(
-    config: RunConfig, samples: list[SampleRecord], k: int, committed: Optional[Path] = None
+    config: RunConfig, samples: list[SampleRecord], k: int, run_dir: Optional[Path] = None
 ) -> tuple[SurrogateModel, StratumSet, StratumWeights]:
     """The design of iteration ``k``'s refit: the surrogate fitted on the samples of iterations up
     to ``k``, the strata laid out around the critical value, and their weights. These are exact
-    with no pool configured; else a load passes ``committed``, the refit's ``weights.tsv``, and
-    they are read back, because a large pool is costly to redraw (the last refit's file, not a
-    newer one an uncommitted attempt left); else they are drawn from the ("pool", k) substream."""
+    with no pool configured; else a load passes its ``run_dir`` and they are read back from the
+    refit's committed ``weights.tsv``, because a large pool is costly to redraw (the refit's file,
+    not a newer one an uncommitted attempt left); else they are drawn from the ("pool", k) substream."""
     model = fit(config.space, *_arrays([s for s in samples if s.iteration <= k]))
     strata = build_strata(config.critical_value, model.sigma, config.inner_strata, config.band_halfwidth_sigmas)
     if config.pool_size is None:
         weights = exact_weights(strata, model)
-    elif committed is not None:
-        weights = _read(persist.read_weights, committed, strata, config.pool_size)
+    elif run_dir is not None:
+        weights = _read(persist.read_weights, persist.iter_dir(run_dir, k) / "weights.tsv", strata, config.pool_size)
     else:
         weights = estimate_weights(strata, model, config.pool_size, substream(config.seed, "pool", k))
     return model, strata, weights
@@ -131,30 +133,22 @@ def _evaluate_new(state: RunState, params: np.ndarray, iteration: int) -> None:
     )
 
 
-def _persist_iteration(
-    state: RunState,
-    table: Optional[ConditionalTable] = None,
-    plan: Optional[AllocationPlan] = None,
-    observed: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> None:
-    """Write iteration ``state.iteration``'s directory afresh, emptying what an attempt that died
-    before its commit left there, then commit; ``observed`` is the hard-tail p2 and the counts
-    behind the newest estimate, for an iteration that made one."""
+def _persist_iteration(state: RunState, plan: Optional[AllocationPlan] = None) -> None:
+    """Commit iteration ``state.iteration``. Its directory is emptied of what an attempt that died
+    before its commit left there, and gets only what no other file records: a pool refit's
+    weights, costly to redraw, and ``plan``, the one record of the iteration's budget."""
     if state.run_dir is None:
         return
     run_dir, iteration = state.run_dir, state.iteration
     d = persist.iter_dir(run_dir, iteration)
     if d.exists():
         shutil.rmtree(d)
-    d.mkdir()
-    if _last_refit(state) == iteration:
-        persist.write_refit(d, state.model, state.strata, state.weights)
-    if table is not None:
-        persist.write_conditional(d / "conditional.tsv", table)
+    if _last_refit(state) == iteration and state.weights.pool_size is not None:
+        d.mkdir()
+        persist.write_weights(d / "weights.tsv", state.strata, state.weights)
     if plan is not None:
+        d.mkdir(exist_ok=True)
         persist.write_allocation(d / "allocation.tsv", plan)
-    if observed is not None:
-        persist.write_estimate(d, state.strata, state.estimates[-1], state.weights.p1, *observed)
     new = [s for s in state.samples if s.iteration == iteration]
     committed = len(state.samples) - len(new)
     persist.append_samples(run_dir / "samples.tsv", state.config.space.names, new, committed)
@@ -218,7 +212,6 @@ def run_iteration(state: RunState, budget: int) -> RunState:
         raise ConfigError(f"budget must be >= 0, got {budget}")
     cfg = state.config
     k = state.iteration + 1
-    table: Optional[ConditionalTable] = None
     plan: Optional[AllocationPlan] = None
     if budget > 0:
         table = build_conditional_table(state.strata, *state.observations())
@@ -232,9 +225,8 @@ def run_iteration(state: RunState, budget: int) -> RunState:
         if _last_refit(state) == k:
             state.model, state.strata, state.weights = _design(cfg, state.samples, k)
     state.iteration = k
-    est, p2, counts = _estimate(state)
-    state.estimates.append(est)
-    _persist_iteration(state, table, plan, (p2, counts))
+    state.estimates.append(_estimate(state)[0])
+    _persist_iteration(state, plan)
     return state
 
 
@@ -296,15 +288,45 @@ def load_state(run_dir: Path) -> RunState:
             raise ConfigError(f"{run_dir / 'state.json'} holds no non-negative integer {key!r}")
     config = load_config(run_dir / "config.json")
     state = RunState(config=config, run_dir=run_dir)
-    state.iteration, state.next_id = doc["iterations_completed"], doc["next_id"]
-    state.samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"], state.iteration,
-                          state.next_id)
-    k = _last_refit(state)
-    committed = persist.iter_dir(run_dir, k) / "weights.tsv"
-    state.model, state.strata, state.weights = _design(config, state.samples, k, committed)
-    if state.iteration > 0:
-        state.estimates.append(_estimate(state)[0])
+    state.next_id = doc["next_id"]
+    samples = _read(persist.read_samples, run_dir / "samples.tsv", config.space, doc["samples"],
+                    doc["iterations_completed"], state.next_id)
+    _restore(state, samples, doc["iterations_completed"])
     return state
+
+
+def _restore(state: RunState, samples: list[SampleRecord], k: int) -> None:
+    """Set ``state`` to commit ``k`` of its run dir: the ``samples`` of iterations up to ``k``, the design of
+    the refit then in force (pool weights read from its ``weights.tsv``) and, past commit 0, the estimate."""
+    state.iteration = k
+    state.samples = [s for s in samples if s.iteration <= k]
+    r = _last_refit(state)
+    state.model, state.strata, state.weights = _design(state.config, state.samples, r, state.run_dir)
+    state.estimates = [_estimate(state)[0]] if k > 0 else []
+
+
+def render_tables(run_dir: Path, out: Path) -> None:
+    """Render every ``iter_k/`` table of the campaign in ``run_dir`` into the new directory ``out``, replaying
+    each commit from the committed samples by the calls the campaign made; nothing enters ``run_dir``."""
+    state = load_state(run_dir)
+    try:
+        out.mkdir(parents=True)
+    except OSError as exc:  # one that exists, the run dir included, among them
+        raise ConfigError(f"tables directory {out} cannot be made: {exc.strerror}") from None
+    samples = state.samples
+    for k in range(state.iteration + 1):
+        d = persist.iter_dir(out, k)
+        d.mkdir()
+        allocation = persist.iter_dir(state.run_dir, k) / "allocation.tsv"
+        if allocation.exists():  # state is still at commit k - 1
+            persist.write_conditional(d / "conditional.tsv", build_conditional_table(state.strata, *state.observations()))
+            shutil.copyfile(allocation, d / "allocation.tsv")
+        _restore(state, samples, k)
+        if _last_refit(state) == k:
+            persist.write_model(d / "model.json", state.model)
+            persist.write_weights(d / "weights.tsv", state.strata, state.weights)
+        if k > 0:
+            persist.write_estimate(d, state.strata, state.estimates[-1], state.weights.p1, *_estimate(state)[1:])
 
 
 def final_report(state: RunState) -> dict:

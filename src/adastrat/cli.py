@@ -2,12 +2,13 @@
 
 Subcommands: ``init`` (validate a config and create the run directory),
 ``run`` (full campaign, resume-aware), ``iterate`` (one more iteration on an
-existing run), ``report`` (recompute and print the estimate), ``compare-mc``
-(naive Monte Carlo baseline on the same evaluator), ``oracle`` (brute-force
-truth for synthetic evaluators). ``init``, ``run`` and ``iterate`` hold a
-lock on the run directory, so a second writer is refused; ``report`` only
-reads and takes none. ``run`` and ``iterate`` build their evaluator for the
-run directory, ``compare-mc`` without one; each ends its children before it
+existing run), ``report`` (recompute and print the estimate; ``--tables OUT``
+first renders the run's ``iter_k/`` tables into OUT), ``compare-mc`` (naive
+Monte Carlo baseline on the same evaluator), ``oracle`` (brute-force truth
+for synthetic evaluators). ``init``, ``run`` and ``iterate`` hold a lock on
+the run directory, so a second writer is refused; ``report`` only reads and
+takes none. ``run`` and ``iterate`` build their evaluator for the run
+directory, ``compare-mc`` without one; each ends its children before it
 returns (and before the lock is released).
 
 Exit codes: 0 success, and for each error the command line expects, the
@@ -30,6 +31,7 @@ from .campaign import (
     load_state,
     next_budget,
     render_report,
+    render_tables,
     run_campaign,
     run_iteration,
     write_report,
@@ -76,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="recompute and print the estimate for an existing run")
     p.add_argument("--run-dir", type=Path, required=True)
+    p.add_argument("--tables", type=Path, metavar="OUT", help="first render every iter_k/ table into the new directory OUT")
 
     p = sub.add_parser("compare-mc", help="naive Monte Carlo baseline on the configured evaluator")
     _add_common(p)
@@ -144,6 +147,8 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.tables is not None:
+        render_tables(args.run_dir, args.tables)
     sys.stdout.write(render_report(final_report(load_state(args.run_dir))))
     return EXIT_OK
 

@@ -91,7 +91,7 @@ def hard_tail_p2(strata: StratumSet, counts: np.ndarray, p2_obs: np.ndarray) -> 
 @dataclass(frozen=True)
 class RareEventEstimate:
     """Estimate with its uncertainty and the cost of matching it naively: the scalars of
-    ``estimate.json``. The per-stratum columns of ``estimate.tsv`` are not kept."""
+    ``estimate.json``, which, with ``estimate.tsv``'s columns, is rendered from the samples, not kept."""
 
     probability: float
     biased_variance: float

@@ -2,15 +2,16 @@
 
 ``state.json`` is the commit record, written last at each iteration
 boundary; it counts the committed rows of ``samples.tsv``, the append-only
-table of measured samples. A load reads only ``config.json``, ``state.json``
-and the committed rows, and recomputes the model, strata, exact weights and
-estimate from the samples. Where the config names a ``pool_size``, it also
-reads the last refit's ``weights.tsv`` (a large pool to redo), taken only if
-its ``# pool_size`` line names the config's pool size, its ``lower``/``upper``
-edges are exactly those of the recomputed strata and its ``p1`` is whole
-counts over that size. ``model.json``, ``estimate.*``, ``conditional.tsv``,
-``allocation.tsv`` and an exact ``weights.tsv`` (no ``# pool_size`` line,
-variance 0) are outputs only. Loading writes nothing;
+table of measured samples. Into ``iter_k/`` a commit writes only what no other
+file records: ``allocation.tsv``, the one record of a nonzero budget, and a
+pool refit's ``weights.tsv`` (a large pool to redo). A load reads only
+``config.json``, ``state.json``, the committed rows and the last pool refit's
+``weights.tsv``, taken only if its ``# pool_size`` line names the config's
+pool size, its ``lower``/``upper`` edges are exactly those of the recomputed
+strata and its ``p1`` is whole counts over that size, and it recomputes the
+rest. ``model.json``, ``conditional.tsv``, ``estimate.*`` and an exact
+``weights.tsv`` (no ``# pool_size`` line, variance 0) are views, which
+``adastrat report --tables`` renders by these writers. Loading writes nothing;
 the next append cuts off any rows past the commit. Every other file is
 replaced atomically (a uniquely named temp file, then a rename).
 Tables are tab-separated text, the derived ones written column by column;
@@ -154,23 +155,20 @@ def read_samples(path: Path, space: ParameterSpace, count: int, iterations: int,
 _WEIGHT_COLUMNS = ("stratum", "lower", "upper", "p1", "variance")
 
 
-def write_refit(dir_path: Path, model: SurrogateModel, strata: StratumSet, weights: StratumWeights) -> None:
-    """A refit's ``model.json``, for the reader, and its ``weights.tsv``, which a load reads back
-    if it holds pool weights; exact weights have no ``# pool_size`` line."""
-    write_doc(
-        dir_path / "model.json",
-        {
-            "dims": model.space.to_list(),
-            "intercept": model.intercept,
-            "coefficients": [float(c) for c in model.coefficients],
-            "sigma": model.sigma,
-            "training_count": model.training_count,
-        },
-    )
+def write_model(path: Path, model: SurrogateModel) -> None:
+    write_doc(path, {
+        "dims": model.space.to_list(), "intercept": model.intercept, "sigma": model.sigma,
+        "coefficients": [float(c) for c in model.coefficients], "training_count": model.training_count,
+    })
+
+
+def write_weights(path: Path, strata: StratumSet, weights: StratumWeights) -> None:
+    """A refit's ``weights.tsv``, which a load reads back if it holds pool weights; exact weights
+    have no ``# pool_size`` line."""
     bounds = strata.bounds()
     cells = (range(strata.n_strata), bounds[:-1], bounds[1:], weights.p1, weights.variance)
     head = "" if weights.pool_size is None else f"# pool_size\t{weights.pool_size}\n"
-    write_table(dir_path / "weights.tsv", dict(zip(_WEIGHT_COLUMNS, cells, strict=True)), head=head)
+    write_table(path, dict(zip(_WEIGHT_COLUMNS, cells, strict=True)), head=head)
 
 
 def read_weights(path: Path, strata: StratumSet, pool_size: int) -> StratumWeights:

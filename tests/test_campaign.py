@@ -19,6 +19,7 @@ from adastrat.campaign import (
     run_preliminary,
     write_report,
 )
+from adastrat.cli import main
 from adastrat.config import RunConfig, config_from_dict
 from adastrat.errors import AllocationError, ConfigError, EvaluationThresholdError, FitError
 from adastrat.evaluators import BatchOutcome, EvaluationFailure
@@ -85,7 +86,8 @@ def test_budget_zero_iteration_only_appends_estimate(tmp_path):
     assert [s.id for s in state.samples] == ids_before
     assert state.iteration == 1
     assert len(state.estimates) == 1
-    assert (tmp_path / "r" / "iter_001" / "estimate.json").exists()
+    campaign.render_tables(tmp_path / "r", tmp_path / "tables")
+    assert (tmp_path / "tables" / "iter_001" / "estimate.json").exists()
     assert not (tmp_path / "r" / "iter_001" / "allocation.tsv").exists()
 
 
@@ -208,27 +210,24 @@ def test_samples_and_weights_alone_resume_exactly(tmp_path, mode):
 
 
 def test_exact_weights_are_recomputed_not_read(tmp_path):
-    # a multi campaign on exact weights, interrupted after iteration 1; a copy of its run dir
-    # without any weights.tsv resumes to the same files
+    # a multi campaign on exact weights commits no weights.tsv; interrupted after iteration 1, it
+    # resumes to the files and renders the tables of the uninterrupted campaign
     cfg = small_config(pool_size=None, iteration_budgets=(20, 10, 10))
-    state = run_preliminary(cfg, tmp_path / "intact")
+    state = run_preliminary(cfg, tmp_path / "resumed")
     run_iteration(state, 20)
-    shutil.copytree(tmp_path / "intact", tmp_path / "bare")
-    removed = list((tmp_path / "bare").glob("iter_*/weights.tsv"))
-    assert len(removed) == 2
-    for path in removed:
-        path.unlink()
-    for name in ("intact", "bare"):
+    for name in ("resumed", "whole"):
         run_campaign(cfg, tmp_path / name)
-    for path in (tmp_path / "bare").rglob("*"):
-        if path.is_file() and path.name != "run.log":
-            assert path.read_bytes() == (tmp_path / "intact" / path.relative_to(tmp_path / "bare")).read_bytes(), path
+        campaign.render_tables(tmp_path / name, tmp_path / f"{name}-tables")
+        assert not list((tmp_path / name).glob("iter_*/weights.tsv"))
+    assert len(list((tmp_path / "resumed-tables").glob("iter_*/weights.tsv"))) == 4
+    for name in ("", "-tables"):
+        assert not _tree_differs(filecmp.dircmp(tmp_path / f"whole{name}", tmp_path / f"resumed{name}", ignore=["run.log"]))
     # an exact weights.tsv keeps the pool's columns, with variance 0 and no # pool_size line
-    _, rows = read_table(tmp_path / "intact" / "iter_003" / "weights.tsv", ("stratum", "lower", "upper", "p1", "variance"))
+    _, rows = read_table(tmp_path / "resumed-tables" / "iter_003" / "weights.tsv", ("stratum", "lower", "upper", "p1", "variance"))
     assert {row[4] for row in rows} == {"0.0"}
-    assert json.loads((tmp_path / "intact" / "config.json").read_text())["pool_size"] is None
-    assert "p1 standard error    0 (exact weights)\n" in (tmp_path / "intact" / "report.txt").read_text()
-    assert json.loads((tmp_path / "intact" / "report.json").read_text())["p1_standard_error"] is None
+    assert json.loads((tmp_path / "resumed" / "config.json").read_text())["pool_size"] is None
+    assert "p1 standard error    0 (exact weights)\n" in (tmp_path / "resumed" / "report.txt").read_text()
+    assert json.loads((tmp_path / "resumed" / "report.json").read_text())["p1_standard_error"] is None
 
 
 def test_pool_run_dir_still_reads_its_weights_tsv(tmp_path):
@@ -304,7 +303,7 @@ def test_refit_of_an_uncommitted_attempt_is_not_loaded(tmp_path, monkeypatch):
     # before its commit; the retry's evaluations all fail, so it commits without a refit
     state = run_preliminary(small_config(), tmp_path / "r")
     with monkeypatch.context() as m:
-        _crashing_writers(m, {"atomic_write_text": persist.atomic_write_text}, crash_at=7)  # state.json
+        _crashing_writers(m, {"atomic_write_text": persist.atomic_write_text}, crash_at=3)  # state.json
         with pytest.raises(_Crash, match="state.json"):
             run_iteration(state, 20)
     state = load_state(tmp_path / "r")
@@ -340,6 +339,63 @@ def test_retried_iteration_keeps_no_file_of_the_dead_attempt(tmp_path, monkeypat
     for name in ("killed", "whole"):
         run_iteration(load_state(tmp_path / name), 0)
     assert not _tree_differs(filecmp.dircmp(tmp_path / "killed", tmp_path / "whole", ignore=["run.log"]))
+
+
+def _write_live_tables(state, live, out):
+    """Write the tables of ``state``'s newest iteration into ``out``, from the in-memory state and
+    the ``live`` results of the calls that iteration made."""
+    d = persist.iter_dir(out, state.iteration)
+    d.mkdir(parents=True)
+    if campaign._last_refit(state) == state.iteration:
+        persist.write_model(d / "model.json", state.model)
+        persist.write_weights(d / "weights.tsv", state.strata, state.weights)
+    if "plan_allocation" in live:
+        persist.write_conditional(d / "conditional.tsv", live["build_conditional_table"][1])
+        persist.write_allocation(d / "allocation.tsv", live["plan_allocation"][1])
+    if state.iteration > 0:
+        weights, p2, counts = live["build_estimate"][0]
+        persist.write_estimate(d, state.strata, state.estimates[-1], weights.p1, p2, counts)
+
+
+@pytest.mark.parametrize("mode, pool_size, budgets, failing", [
+    ("single", 100_000, (20, 10), ()),
+    ("multi", None, (20, 10), ()),
+    ("multi", 100_000, (15, 0, 10), ()),
+    # iteration 2 (ids 55-64) loses every third evaluation, and iteration 3 (ids 65-74) all of them
+    ("multi", 100_000, (15, 10, 10), [*range(57, 65, 3), *range(65, 75)]),
+], ids=["single-pool", "multi-exact", "multi-pool-gap", "multi-pool-failures"])
+def test_rendered_tables_equal_the_live_campaigns(tmp_path, monkeypatch, mode, pool_size, budgets, failing):
+    # each iteration's tables written from the in-memory state, then one more off-config
+    # iteration of budget 7 as `adastrat iterate --budget 7` runs it; `report --tables` renders
+    # the same bytes from the run dir
+    live = {}  # name -> (arguments, result) of the newest call
+    for name in ("build_conditional_table", "plan_allocation", "build_estimate"):
+        def record(*args, _name=name, _fn=getattr(campaign, name), **kwargs):
+            live[_name] = args, _fn(*args, **kwargs)
+            return live[_name][1]
+        monkeypatch.setattr(campaign, name, record)
+    evaluate_batch = campaign.evaluate_batch
+
+    def evaluate(evaluator, ids, ws):
+        out = evaluate_batch(evaluator, ids, ws)
+        return BatchOutcome([r for r in out.results if r.id not in failing],
+                            [EvaluationFailure(r.id, "injected") for r in out.results if r.id in failing])
+    monkeypatch.setattr(campaign, "evaluate_batch", evaluate)
+
+    run_dir, expected = tmp_path / "r", tmp_path / "expected"
+    state = run_preliminary(small_config(mode=mode, pool_size=pool_size, iteration_budgets=budgets), run_dir)
+    _write_live_tables(state, live, expected)
+    for budget in budgets:
+        live.clear()
+        _write_live_tables(run_iteration(state, budget), live, expected)
+    state = load_state(run_dir)
+    live.clear()
+    _write_live_tables(run_iteration(state, 7), live, expected)
+    assert len(state.samples) == 40 + sum(budgets) + 7 - len(failing)
+    kept = {"allocation.tsv"} | ({"weights.tsv"} if pool_size else set())
+    assert {p.name for p in run_dir.glob("iter_*/*")} == kept
+    assert main(["report", "--run-dir", str(run_dir), "--tables", str(tmp_path / "tables")]) == 0
+    assert not _tree_differs(filecmp.dircmp(expected, tmp_path / "tables"))
 
 
 def test_run_campaign_resumes_via_run_dir(tmp_path):

@@ -91,6 +91,31 @@ def _tree(run_dir):
     return {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
 
 
+def test_report_renders_tables_into_a_new_directory_only(tmp_path, config_path, capsys):
+    run_dir, tables = tmp_path / "run", tmp_path / "tables"
+    assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+    report = capsys.readouterr().out
+    before = _tree(run_dir)
+    # an existing path, the run dir included, or one under a file is refused by name, and nothing is written
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "afile").write_text("")
+    for taken, problem in ((tmp_path / "taken", "File exists"), (run_dir, "File exists"),
+                           (tmp_path / "afile" / "sub", "Not a directory")):
+        assert main(["report", "--run-dir", str(run_dir), "--tables", str(taken)]) == 2
+        assert capsys.readouterr().err == f"configuration error: tables directory {taken} cannot be made: {problem}\n"
+    assert not any((tmp_path / "taken").iterdir()) and _tree(run_dir) == before
+    assert main(["report", "--run-dir", str(run_dir), "--tables", str(tables)]) == 0
+    assert capsys.readouterr().out == report
+    assert _tree(run_dir) == before
+    assert sorted(p.name for p in tables.iterdir()) == ["iter_000", "iter_001", "iter_002"]
+    # a run dir holding only the preliminary batch still renders its iter_000/, then has no estimate
+    run_preliminary(load_config(config_path), tmp_path / "prelim")
+    assert main(["report", "--run-dir", str(tmp_path / "prelim"), "--tables", str(tmp_path / "prelim-tables")]) == 2
+    assert "no completed iteration" in capsys.readouterr().err
+    assert sorted(str(p.relative_to(tmp_path / "prelim-tables")) for p in (tmp_path / "prelim-tables").rglob("*")) == [
+        "iter_000", "iter_000/model.json", "iter_000/weights.tsv"]
+
+
 def test_iterate_consumes_next_budget_then_requires_flag(tmp_path, config_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
